@@ -211,6 +211,13 @@ def read_gktb(src):
         return _read_stream(fh)
 
 
+def _require_int(value, field):
+    """A header number must be a JSON integer (booleans and floats are not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise HeaderError(f"header field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def _read_stream(fh):
     magic = fh.read(4)
     if magic != MAGIC:
@@ -229,10 +236,16 @@ def _read_stream(fh):
         header = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise HeaderError(f"header is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise HeaderError(f"header must be a JSON object, got {type(header).__name__}")
     for key in ("num_classes", "height", "width", "downsample_ratio", "planes"):
         if key not in header:
             raise HeaderError(f"header missing field {key!r}")
-    height, width = int(header["height"]), int(header["width"])
+    for key in ("num_classes", "height", "width", "downsample_ratio"):
+        _require_int(header[key], key)
+    if not isinstance(header["planes"], list):
+        raise HeaderError(f"header field 'planes' must be a list, got {header['planes']!r}")
+    height, width = header["height"], header["width"]
     if height < 1 or width < 1:
         raise HeaderError(f"invalid grid size {height}x{width}")
     plane_size = height * width
@@ -240,7 +253,7 @@ def _read_stream(fh):
     for entry in header["planes"]:
         if not isinstance(entry, dict) or "name" not in entry or "count" not in entry:
             raise HeaderError(f"malformed plane entry {entry!r}")
-        name, count = str(entry["name"]), int(entry["count"])
+        name, count = str(entry["name"]), _require_int(entry["count"], "count")
         if count < 1:
             raise HeaderError(f"plane {name}: count must be >= 1, got {count}")
         nbytes = 4 * count * plane_size

@@ -1,11 +1,13 @@
 """Top-k keypoint extraction from heatmap bundles.
 
 Per class plane, a 3x3 local-maximum suppression zeroes non-maxima (the
-usual center/corner-decoder trick; switchable), then the k highest-scoring
-(class, pixel) entries survive with ties broken by ascending (class, row,
-col).  Coordinates are refined to input-image resolution with the offset
-planes: (pixel + offset) * R, the exact inverse of the encoder's
-quantization.  Embeddings are read at the winning integer pixel.
+usual center/corner-decoder trick; switchable).  The 3x3 maximum is a numpy
+slice max over the plane zero-padded by one pixel: a max over three row
+shifts, then over three column shifts.  Then the k highest-scoring (class,
+pixel) entries survive with ties broken by ascending (class, row, col).
+Coordinates are refined to input-image resolution with the offset planes:
+(pixel + offset) * R, the exact inverse of the encoder's quantization.
+Embeddings are read at the winning integer pixel.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 
 @dataclass(frozen=True)
@@ -29,10 +30,17 @@ class DetectedKeypoint:
 
 
 def suppress_non_maxima(stack):
-    """Zero every pixel that is not a 3x3 local maximum of its plane."""
+    """Zero every pixel that is not a 3x3 local maximum of its plane.
+
+    Pixels outside the plane count as 0.0, so on a plane with negative
+    values the border pixels are suppressed.
+    """
     arr = np.asarray(stack, dtype=np.float32)
-    size = (1, 3, 3) if arr.ndim == 3 else (3, 3)
-    peaks = maximum_filter(arr, size=size, mode="constant", cval=0.0)
+    padded = np.pad(arr, [(0, 0)] * (arr.ndim - 2) + [(1, 1), (1, 1)])
+    rows = np.maximum(padded[..., :-2, :], padded[..., 1:-1, :])
+    np.maximum(rows, padded[..., 2:, :], out=rows)
+    peaks = np.maximum(rows[..., :-2], rows[..., 1:-1])
+    np.maximum(peaks, rows[..., 2:], out=peaks)
     return np.where(arr == peaks, arr, np.float32(0.0))
 
 
@@ -50,9 +58,16 @@ def select_grasp_keypoints(heatmaps, embeddings, offsets, k, ratio, role="left",
     nz = np.flatnonzero(flat > 0)
     if nz.size == 0:
         return []
+    values = flat[nz]
+    if nz.size > k:
+        # keep everything scoring at least the k-th largest score, ties
+        # included, so the sort below still breaks ties by flat index
+        kth = np.partition(values, nz.size - k)[nz.size - k]
+        keep = values >= kth
+        nz, values = nz[keep], values[keep]
     # primary key: score descending; flat index order is (class, row, col)
-    order = np.lexsort((nz, -flat[nz]))
-    top = nz[order[: min(k, nz.size)]]
+    order = np.lexsort((nz, -values))
+    top = nz[order[:k]]
     cls = top // (h * w)
     rem = top % (h * w)
     rows = rem // w
@@ -63,18 +78,11 @@ def select_grasp_keypoints(heatmaps, embeddings, offsets, k, ratio, role="left",
     ys = (rows + off[1, rows, cols]) * ratio
     xs = np.clip(xs, 0.0, w * ratio)
     ys = np.clip(ys, 0.0, h * ratio)
-    scores = flat[top]
-    values = emb[rows, cols]
     return [
-        DetectedKeypoint(
-            x=float(xs[i]),
-            y=float(ys[i]),
-            class_index=int(cls[i]),
-            score=float(scores[i]),
-            embedding=float(values[i]),
-            role=role,
+        DetectedKeypoint(x=x, y=y, class_index=c, score=s, embedding=e, role=role)
+        for x, y, c, s, e in zip(
+            xs.tolist(), ys.tolist(), cls.tolist(), flat[top].tolist(), emb[rows, cols].tolist()
         )
-        for i in range(top.size)
     ]
 
 

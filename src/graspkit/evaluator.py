@@ -16,6 +16,8 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .geometry import OrientedRect, angle_diff, rotated_iou
 
 
@@ -72,35 +74,67 @@ class EvalReport:
         }
 
 
-def _eval_rects(pred, truth, criteria):
-    pr = OrientedRect((pred.x, pred.y), pred.w, criteria.eval_height, pred.theta)
+def _pred_rect(pred, criteria):
+    return OrientedRect((pred.x, pred.y), pred.w, criteria.eval_height, pred.theta)
+
+
+def _truth_rect(truth, criteria):
     th = truth.h if truth.h is not None else criteria.eval_height
-    tr = OrientedRect((truth.x, truth.y), truth.w, th, truth.theta)
-    return pr, tr
+    return OrientedRect((truth.x, truth.y), truth.w, th, truth.theta)
 
 
 def is_match(pred, truth, criteria):
     """True iff angle within tolerance and rotated IoU above the threshold."""
     if angle_diff(pred.theta, truth.theta) > criteria.max_angle_diff:
         return False
-    pr, tr = _eval_rects(pred, truth, criteria)
+    pr, tr = _pred_rect(pred, criteria), _truth_rect(truth, criteria)
     return rotated_iou(pr, tr) > criteria.min_jaccard
 
 
+# Relative slack on the circumscribed-circle test, far above the rounding
+# error of the corner and clipping arithmetic.
+_APART_MARGIN = 1e-6
+
+
+def _circles_apart(rects_a, rects_b):
+    """(len(a), len(b)) mask of pairs whose circumscribed circles are apart.
+
+    Such rectangles are disjoint, so their polygon clip is empty and
+    :func:`rotated_iou` returns exactly 0.0 for them.
+    """
+    def centers_radii(rects):
+        xy = np.array([r.center for r in rects], dtype=float)
+        radii = np.array([math.hypot(r.width, r.height) / 2 for r in rects])
+        return xy, radii
+
+    xy_a, ra = centers_radii(rects_a)
+    xy_b, rb = centers_radii(rects_b)
+    gap = xy_a[:, None, :] - xy_b[None, :, :]
+    dist = np.hypot(gap[..., 0], gap[..., 1])
+    reach = ra[:, None] + rb[None, :]
+    scale = reach + np.abs(xy_a).sum(axis=1)[:, None] + np.abs(xy_b).sum(axis=1)[None, :]
+    return dist - reach > _APART_MARGIN * scale
+
+
 def _image_stats(preds, truths, criteria):
+    """(matched, best Jaccard, best angle difference) over all pairs."""
+    if not preds or not truths:
+        return False, 0.0, None
+    pred_rects = [_pred_rect(p, criteria) for p in preds]
+    truth_rects = [_truth_rect(t, criteria) for t in truths]
+    angles = angle_diff(
+        np.array([p.theta for p in preds])[:, None], np.array([t.theta for t in truths])[None, :]
+    )
+    apart = _circles_apart(pred_rects, truth_rects)
     matched = False
     best_j = 0.0
-    best_a = None
-    for p in preds:
-        for t in truths:
-            a = angle_diff(p.theta, t.theta)
-            pr, tr = _eval_rects(p, t, criteria)
-            j = rotated_iou(pr, tr)
+    for pr, row_apart, row_angles in zip(pred_rects, apart.tolist(), angles.tolist()):
+        for tr, far, a in zip(truth_rects, row_apart, row_angles):
+            j = 0.0 if far else rotated_iou(pr, tr)
             best_j = max(best_j, j)
-            best_a = a if best_a is None else min(best_a, a)
             if a <= criteria.max_angle_diff and j > criteria.min_jaccard:
                 matched = True
-    return matched, best_j, best_a
+    return matched, best_j, float(angles.min())
 
 
 def evaluate_dataset(predictions, truths, criteria, policy="top1"):

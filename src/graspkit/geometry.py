@@ -130,8 +130,13 @@ def grasp_to_pair(g):
 
 
 def class_to_angle(c, num_classes):
-    """Representative angle of orientation class c: pi*c/|C| - pi/2."""
-    if not 0 <= c < num_classes:
+    """Representative angle of orientation class c: pi*c/|C| - pi/2.
+
+    Works on an integer or an integer array; a class outside
+    [0, num_classes) raises IndexError.
+    """
+    cls = np.asarray(c)
+    if np.any((cls < 0) | (cls >= num_classes)):
         raise IndexError(f"class {c} out of range for {num_classes} classes")
     return math.pi * c / num_classes - HALF_PI
 

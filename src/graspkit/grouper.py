@@ -93,34 +93,36 @@ def filter_pairs(left_kps, right_kps, center_scores, thresholds, num_classes):
         (lx[:, None] == rx[None, :]) & (ly[:, None] < ry[None, :])
     )
     li, ri = np.nonzero(class_ok & embed_ok & center_ok & canonical)
-    candidates = []
-    for i, j in zip(li.tolist(), ri.tolist()):
-        kp_l, kp_r = left_kps[i], right_kps[j]
-        theta_cont = wrap_angle(np.arctan2(kp_r.y - kp_l.y, kp_r.x - kp_l.x))
-        candidates.append(
-            GraspCandidate(
-                left=kp_l,
-                right=kp_r,
-                class_index=kp_l.class_index,
-                center_score=float(scores[i, j]),
-                theta_discrete=class_to_angle(kp_l.class_index, num_classes),
-                theta_continuous=theta_cont,
-            )
+    classes = lcls[li]
+    theta_cont = wrap_angle(np.arctan2(ry[ri] - ly[li], rx[ri] - lx[li]))
+    theta_disc = class_to_angle(classes, num_classes)
+    return [
+        GraspCandidate(
+            left=left_kps[i],
+            right=right_kps[j],
+            class_index=c,
+            center_score=s,
+            theta_discrete=td,
+            theta_continuous=tc,
         )
-    return candidates
+        for i, j, c, s, td, tc in zip(
+            li.tolist(), ri.tolist(), classes.tolist(), scores[li, ri].tolist(),
+            theta_disc.tolist(), theta_cont.tolist(),
+        )
+    ]
 
 
 def orientation_filter(candidates, tau_orient, num_classes):
     """Keep candidates whose discrete/continuous angles agree within tau.
 
     The distance wraps modulo pi, so -89 deg and +89 deg differ by 2 deg.
+    Each candidate's own ``theta_discrete`` is used; ``num_classes`` is not
+    needed and is accepted for call compatibility.
     """
-    kept = []
-    for cand in candidates:
-        theta_disc = class_to_angle(cand.class_index, num_classes)
-        if angle_diff(theta_disc, cand.theta_continuous) <= tau_orient:
-            kept.append(cand)
-    return kept
+    disc = np.array([c.theta_discrete for c in candidates], dtype=float)
+    cont = np.array([c.theta_continuous for c in candidates], dtype=float)
+    keep = angle_diff(disc, cont) <= tau_orient
+    return [cand for cand, ok in zip(candidates, keep.tolist()) if ok]
 
 
 def _rank_key(cand):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from graspkit import Grasp, HeatmapBundle, OrientedRect, wrap_angle
+from graspkit import EncoderConfig, Grasp, HeatmapBundle, OrientedRect, ideal_bundle, wrap_angle
 
 
 def iou_rasterized(rect_a, rect_b, resolution=1000):
@@ -113,6 +113,39 @@ def grouping_bundle(rng, num_classes=6, dim=24, ratio=4):
         num_classes=num_classes,
         downsample_ratio=ratio,
     )
+
+
+def clutter_bundle(rng, profile, n_grasps, image=228, peaks=160):
+    """Ideal bundle of ``n_grasps`` annotated grasps plus seeded clutter.
+
+    Clutter peaks and low noise fill top-k on both roles, offsets are
+    jittered and background embeddings overlap the grasp values, so many
+    pairs pass the filters.  Returns (bundle, truth grasps).
+    """
+    truths = [
+        Grasp(g.x, g.y, g.theta, g.w, float(rng.uniform(12, 24)))
+        for g in random_separated_grasps(rng, n_grasps, image=image)
+    ]
+    config = EncoderConfig(image, image, profile.num_classes, profile.downsample_ratio)
+    bundle = ideal_bundle(truths, config, seed=int(rng.integers(0, 2**31)))
+    for name in ("left", "right"):
+        stack = getattr(bundle, name)
+        noise = rng.uniform(0.0, 0.05, size=stack.shape).astype(np.float32)
+        flat = noise.reshape(-1)
+        flat[rng.choice(flat.size, size=peaks, replace=False)] = rng.uniform(0.2, 0.9, size=peaks)
+        setattr(bundle, name, np.maximum(stack, noise))
+    bundle.center = np.maximum(
+        bundle.center, rng.uniform(0.0, 0.45, size=bundle.center.shape).astype(np.float32)
+    )
+    for name in ("offsetL", "offsetR"):
+        stack = getattr(bundle, name)
+        jitter = rng.uniform(0.0, 0.999, size=stack.shape).astype(np.float32)
+        setattr(bundle, name, np.where(stack > 0, stack, jitter))
+    for name in ("embedL", "embedR"):
+        plane = getattr(bundle, name)
+        noise = rng.uniform(1.5, float(plane.max()) + 0.5, size=plane.shape).astype(np.float32)
+        setattr(bundle, name, np.where(plane >= 2.0, plane, noise))
+    return bundle.validate(), truths
 
 
 def grasp_key(g, digits=9):

@@ -198,3 +198,30 @@ def test_generic_reader_accepts_other_plane_names():
     assert planes[0][0] == "depth"
     assert planes[0][1].shape == (1, 4, 6)
     assert header["downsample_ratio"] == 1
+
+
+def _gktb_with_header(header):
+    blob = json.dumps(header).encode("utf-8")
+    return b"GKTB" + struct.pack("<B", 1) + struct.pack("<I", len(blob)) + blob + b"\0" * 4
+
+
+_ONE_PLANE = {"num_classes": 1, "height": 1, "width": 1, "downsample_ratio": 1,
+              "planes": [{"name": "depth", "count": 1}]}
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        ["num_classes", "height", "width", "downsample_ratio", "planes"],
+        5,
+        dict(_ONE_PLANE, planes=5),
+        dict(_ONE_PLANE, planes=[{"name": "depth", "count": None}]),
+        dict(_ONE_PLANE, height="x"),
+        dict(_ONE_PLANE, height=2.7),
+    ],
+    ids=["list-header", "number-header", "planes-not-list", "count-null", "height-text", "height-float"],
+)
+def test_malformed_header_fields_raise_header_error(header):
+    assert read_gktb(io.BytesIO(_gktb_with_header(_ONE_PLANE)))[1][0][1].shape == (1, 1, 1)
+    with pytest.raises(HeaderError):
+        read_gktb(io.BytesIO(_gktb_with_header(header)))

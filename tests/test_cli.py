@@ -114,6 +114,23 @@ def test_profile_mismatch_is_data_error(tmp_path, annotations):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        ["num_classes", "height", "width", "downsample_ratio", "planes"],
+        {"num_classes": 18, "height": 57, "width": 57, "downsample_ratio": 4, "planes": 5},
+    ],
+    ids=["list-header", "planes-not-list"],
+)
+def test_group_malformed_header_is_data_error(tmp_path, header):
+    blob = json.dumps(header).encode("utf-8")
+    path = tmp_path / "bad.gktb"
+    path.write_bytes(b"GKTB" + bytes([1]) + len(blob).to_bytes(4, "little") + blob)
+    proc = run_cli("group", "--bundle", str(path), "--profile", "cornell")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+
+
 def test_score_command(tmp_path):
     depth = np.full((300, 300), 1000.0, np.float32)
     depth[130:170, 130:170] = 960.0

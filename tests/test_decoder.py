@@ -1,5 +1,8 @@
 """Top-k keypoint extraction: NMS, refinement, ordering, determinism."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -145,3 +148,91 @@ def test_suppress_keeps_plateau_maxima_only():
     assert out[1, 1] == np.float32(0.9)
     assert out[2, 2] == 0.0  # 0.5 is adjacent to 0.9
     assert out[0, 0] == 0.0
+
+
+def _suppress_reference(stack):
+    """Brute-force 3x3 suppression: pixels outside the plane count as 0.0."""
+    arr = np.asarray(stack, dtype=np.float32)
+    planes = arr.reshape(-1, *arr.shape[-2:])
+    out = np.zeros_like(planes)
+    _, h, w = planes.shape
+    for c, plane in enumerate(planes):
+        for i in range(h):
+            for j in range(w):
+                neighbours = [
+                    plane[r, q] if 0 <= r < h and 0 <= q < w else np.float32(0.0)
+                    for r in (i - 1, i, i + 1)
+                    for q in (j - 1, j, j + 1)
+                ]
+                if plane[i, j] == max(neighbours):
+                    out[c, i, j] = plane[i, j]
+    return out.reshape(arr.shape)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 9), (9, 1), (1, 1, 1), (3, 1, 7), (4, 6, 5), (18, 57, 57)]
+)
+def test_suppress_matches_brute_force_bytes(shape):
+    rng = np.random.default_rng(sum(shape))
+    # coarse levels make plateaus; negatives and -0.0 test the zero padding
+    arr = rng.integers(-3, 4, size=shape).astype(np.float32) / np.float32(4.0)
+    arr[rng.random(shape) < 0.15] = np.float32(-0.0)
+    out = suppress_non_maxima(arr)
+    assert out.dtype == np.float32 and out.shape == arr.shape
+    assert out.tobytes() == _suppress_reference(arr).tobytes()
+
+
+def test_suppress_keeps_negative_zero_and_zeroes_negative_border():
+    plane = np.array([[-0.0, -1.0], [-2.0, -0.5]], np.float32)
+    out = suppress_non_maxima(plane)
+    assert out.tobytes() == np.array([[-0.0, 0.0], [0.0, 0.0]], np.float32).tobytes()
+
+
+def test_top_k_cut_keeps_class_row_col_order_among_ties():
+    heat = np.zeros((3, 12, 12), np.float32)
+    heat[2, 1, 1] = 0.9
+    heat[0, 7, 7] = 0.8
+    # five isolated entries tie with the 4th-largest score
+    for c, r, col in [(2, 4, 4), (1, 10, 1), (0, 1, 10), (1, 1, 4), (0, 10, 4)]:
+        heat[c, r, col] = 0.5
+    embed = np.zeros((12, 12), np.float32)
+    off = np.zeros((2, 12, 12), np.float32)
+    kps = select_grasp_keypoints(heat, embed, off, k=4, ratio=1)
+    order = [(kp.class_index, int(kp.y), int(kp.x)) for kp in kps]
+    assert order == [(2, 1, 1), (0, 7, 7), (0, 1, 10), (0, 10, 4)]
+
+
+def _select_reference(heatmaps, embeddings, offsets, k, ratio):
+    """Full-sort top-k of the positive entries, without the partition cut."""
+    stack = suppress_non_maxima(heatmaps)
+    n_cls, h, w = stack.shape
+    flat = stack.reshape(-1)
+    nz = np.flatnonzero(flat > 0)
+    top = nz[np.lexsort((nz, -flat[nz]))[:k]]
+    cls, rem = top // (h * w), top % (h * w)
+    rows, cols = rem // w, rem % w
+    xs = np.clip((cols + offsets[0, rows, cols]) * ratio, 0.0, w * ratio)
+    ys = np.clip((rows + offsets[1, rows, cols]) * ratio, 0.0, h * ratio)
+    return [
+        (float(xs[i]), float(ys[i]), int(cls[i]), float(flat[top[i]]), float(embeddings[rows[i], cols[i]]))
+        for i in range(top.size)
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 7, 40, 100, 5000])
+def test_select_matches_full_sort_reference_with_ties(k):
+    rng = np.random.default_rng(k)
+    # few score levels, so many entries tie with the k-th score
+    heat = rng.integers(0, 6, size=(5, 20, 20)).astype(np.float32) / np.float32(5.0)
+    embed = rng.normal(size=(20, 20)).astype(np.float32)
+    off = rng.random((2, 20, 20), dtype=np.float32)
+    kps = select_grasp_keypoints(heat, embed, off, k=k, ratio=4)
+    got = [(kp.x, kp.y, kp.class_index, kp.score, kp.embedding) for kp in kps]
+    assert got == _select_reference(heat, embed, off, k, 4)
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, graspkit; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

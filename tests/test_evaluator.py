@@ -5,15 +5,25 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graspkit import (
+    AJD,
+    CORNELL,
     Grasp,
     MatchCriteria,
+    OrientedRect,
     PairingError,
+    angle_diff,
     evaluate_dataset,
+    group,
     is_match,
     measure_fps,
+    rotated_iou,
 )
+from graspkit.evaluator import _circles_apart
+from helpers import clutter_bundle
 
 CORNELL_CRIT = MatchCriteria(eval_height=23.33)
 AJD_CRIT = MatchCriteria(eval_height=20.0)
@@ -169,3 +179,74 @@ def test_criteria_validation():
         MatchCriteria(min_jaccard=0.0)
     with pytest.raises(ValueError):
         MatchCriteria(max_angle_diff=2.0)
+
+
+def _image_stats_reference(preds, truths, criteria):
+    """All-pairs loop: two fresh rectangles and one rotated IoU per pair."""
+    matched = False
+    best_j = 0.0
+    best_a = None
+    for p in preds:
+        for t in truths:
+            a = angle_diff(p.theta, t.theta)
+            pr = OrientedRect((p.x, p.y), p.w, criteria.eval_height, p.theta)
+            th = t.h if t.h is not None else criteria.eval_height
+            tr = OrientedRect((t.x, t.y), t.w, th, t.theta)
+            j = rotated_iou(pr, tr)
+            best_j = max(best_j, j)
+            best_a = a if best_a is None else min(best_a, a)
+            if a <= criteria.max_angle_diff and j > criteria.min_jaccard:
+                matched = True
+    return matched, best_j, best_a
+
+
+@pytest.mark.parametrize("profile", [CORNELL, AJD])
+def test_image_stats_match_all_pairs_reference(profile):
+    rng = np.random.default_rng(profile.num_classes + 1)
+    crit = MatchCriteria(eval_height=profile.eval_height)
+    predictions, truths = {}, {}
+    for n in range(1, 10):
+        bundle, grasps = clutter_bundle(rng, profile, n)
+        predictions[str(n)] = group(bundle, profile.thresholds)
+        truths[str(n)] = grasps
+    # shifted copies of the truths overlap them partially or just miss them
+    predictions["shifted"] = [
+        Grasp(g.x + dx, g.y, g.theta, g.w)
+        for g in truths["9"]
+        for dx in np.linspace(0.0, 60.0, 13).tolist()
+    ]
+    truths["shifted"] = truths["9"]
+    predictions["empty"], truths["empty"] = [], truths["1"]
+    report = evaluate_dataset(predictions, truths, crit, policy="topn")
+    for result in report.per_image:
+        expected = _image_stats_reference(predictions[result.image_id], truths[result.image_id], crit)
+        assert (result.matched, result.best_jaccard, result.best_angle_diff) == expected
+    assert 0 < report.correct < report.total
+
+
+_coord = st.floats(-1000.0, 1000.0, allow_nan=False)
+_side = st.floats(0.01, 100.0, allow_nan=False)
+_angle = st.floats(-math.pi / 2, math.pi / 2, allow_nan=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    center=st.tuples(_coord, _coord),
+    size_a=st.tuples(_side, _side),
+    size_b=st.tuples(_side, _side),
+    thetas=st.tuples(_angle, _angle),
+    direction=st.floats(0.0, 2 * math.pi),
+    slack=st.floats(-0.1, 0.1),
+)
+def test_circle_pre_rejection_implies_zero_iou(center, size_a, size_b, thetas, direction, slack):
+    """Whenever the circumscribed-circle test rejects a pair, the rotated IoU
+    of that pair is exactly 0.0.  The second center sits near the distance
+    where the two circles touch, the hardest case for the margin."""
+    a = OrientedRect(center, *size_a, thetas[0])
+    reach = (math.hypot(*size_a) + math.hypot(*size_b)) / 2
+    offset = reach * (1.0 + slack)
+    b_center = (center[0] + offset * math.cos(direction), center[1] + offset * math.sin(direction))
+    b = OrientedRect(b_center, *size_b, thetas[1])
+    if _circles_apart([a], [b])[0, 0]:
+        assert rotated_iou(a, b) == 0.0
+        assert rotated_iou(b, a) == 0.0

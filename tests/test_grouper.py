@@ -11,16 +11,26 @@ from graspkit import (
     DetectedKeypoint,
     EncoderConfig,
     Grasp,
+    GraspCandidate,
     GroupingThresholds,
+    angle_diff,
     class_to_angle,
+    decode_bundle,
     extract_center_scores,
     filter_pairs,
     group,
     group_candidates,
     ideal_bundle,
     orientation_filter,
+    wrap_angle,
 )
-from helpers import grasp_key, grouping_bundle, random_separated_grasps, recovered_fraction
+from helpers import (
+    clutter_bundle,
+    grasp_key,
+    grouping_bundle,
+    random_separated_grasps,
+    recovered_fraction,
+)
 
 CFG = EncoderConfig(image_height=228, image_width=228, num_classes=18, downsample_ratio=4)
 
@@ -210,3 +220,53 @@ def test_thresholds_validation():
         GroupingThresholds(-0.1, 0.05, 0.24)
     with pytest.raises(ValueError):
         GroupingThresholds(1.0, 0.05, 0.24, max_output=0)
+
+
+def _filter_pairs_reference(left_kps, right_kps, center_scores, thresholds, num_classes):
+    """Per-candidate loop: one scalar arctan2/wrap_angle and class_to_angle each."""
+    candidates = []
+    for i, kp_l in enumerate(left_kps):
+        for j, kp_r in enumerate(right_kps):
+            canonical = (kp_l.x, kp_l.y) < (kp_r.x, kp_r.y)
+            if not (
+                kp_l.class_index == kp_r.class_index
+                and abs(kp_l.embedding - kp_r.embedding) < thresholds.rho_embed
+                and center_scores[i, j] > thresholds.rho_cen
+                and canonical
+            ):
+                continue
+            candidates.append(
+                GraspCandidate(
+                    left=kp_l,
+                    right=kp_r,
+                    class_index=kp_l.class_index,
+                    center_score=float(center_scores[i, j]),
+                    theta_discrete=class_to_angle(kp_l.class_index, num_classes),
+                    theta_continuous=wrap_angle(np.arctan2(kp_r.y - kp_l.y, kp_r.x - kp_l.x)),
+                )
+            )
+    return candidates
+
+
+def _orientation_filter_reference(candidates, tau_orient, num_classes):
+    return [
+        cand
+        for cand in candidates
+        if angle_diff(class_to_angle(cand.class_index, num_classes), cand.theta_continuous)
+        <= tau_orient
+    ]
+
+
+@pytest.mark.parametrize("profile", [CORNELL, AJD])
+def test_array_grouping_matches_per_candidate_reference(profile):
+    rng = np.random.default_rng(profile.num_classes)
+    th = profile.thresholds
+    for n_grasps in (1, 5, 9):
+        bundle, _ = clutter_bundle(rng, profile, n_grasps)
+        left, right = decode_bundle(bundle, k=100)
+        scores = extract_center_scores(left, right, bundle.center, bundle.downsample_ratio)
+        cands = filter_pairs(left, right, scores, th, bundle.num_classes)
+        assert cands == _filter_pairs_reference(left, right, scores, th, bundle.num_classes)
+        kept = orientation_filter(cands, th.tau_orient, bundle.num_classes)
+        assert kept == _orientation_filter_reference(cands, th.tau_orient, bundle.num_classes)
+        assert 0 < len(kept) < len(cands)
