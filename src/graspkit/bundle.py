@@ -218,6 +218,26 @@ def _require_int(value, field):
     return value
 
 
+_READ_CHUNK = 1 << 20
+
+
+def _read_upto(fh, nbytes):
+    """Read at most ``nbytes``, in chunks of at most 1 MiB.
+
+    A size comes from the header before it can be checked against the
+    stream, so a short stream ends the read without allocating the
+    declared size.  Reads of up to one chunk are a single ``read``.
+    """
+    parts = []
+    while nbytes > 0:
+        part = fh.read(min(nbytes, _READ_CHUNK))
+        if not part:
+            break
+        parts.append(part)
+        nbytes -= len(part)
+    return b"".join(parts)
+
+
 def _read_stream(fh):
     magic = fh.read(4)
     if magic != MAGIC:
@@ -229,7 +249,7 @@ def _read_stream(fh):
     if version != VERSION:
         raise HeaderError(f"unsupported GKTB version {version}")
     (header_len,) = struct.unpack("<I", raw[1:5])
-    blob = fh.read(header_len)
+    blob = _read_upto(fh, header_len)
     if len(blob) < header_len:
         raise HeaderError("stream ends inside the JSON header")
     try:
@@ -245,6 +265,8 @@ def _read_stream(fh):
         _require_int(header[key], key)
     if not isinstance(header["planes"], list):
         raise HeaderError(f"header field 'planes' must be a list, got {header['planes']!r}")
+    if not header["planes"]:
+        raise HeaderError("header declares no planes")
     height, width = header["height"], header["width"]
     if height < 1 or width < 1:
         raise HeaderError(f"invalid grid size {height}x{width}")
@@ -257,7 +279,7 @@ def _read_stream(fh):
         if count < 1:
             raise HeaderError(f"plane {name}: count must be >= 1, got {count}")
         nbytes = 4 * count * plane_size
-        payload = fh.read(nbytes)
+        payload = _read_upto(fh, nbytes)
         if len(payload) < nbytes:
             raise DimensionError(
                 f"plane {name}: truncated payload, expected {nbytes} bytes, got {len(payload)}"

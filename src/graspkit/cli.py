@@ -165,6 +165,8 @@ def _cmd_score(args):
     depth_image = read_depth_gktb(args.depth, surface_mm=args.surface_depth)
     if args.gripper:
         spec = json.loads(Path(args.gripper).read_text())
+        if not isinstance(spec, dict):
+            raise ValueError(f"gripper spec must be a JSON object, got {type(spec).__name__}")
         model = GripperModel2D(
             finger_thickness_mm=spec.get("finger_thickness_mm", 17.0),
             max_open_mm=spec.get("max_open_mm", 200.0),

@@ -17,7 +17,8 @@ strict Heaviside step (H(0) = 0).  The total is the plain sum s_c+s_o+s_h.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,10 +77,19 @@ class GripperModel2D:
     pixels_per_mm: float = 1.0
 
     def __post_init__(self):
-        if self.finger_thickness_mm <= 0 or self.finger_length_mm <= 0:
-            raise ValueError("finger dimensions must be positive")
-        if self.max_open_mm <= 0 or self.pixels_per_mm <= 0:
-            raise ValueError("max_open_mm and pixels_per_mm must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                ok = (
+                    isinstance(value, numbers.Real)
+                    and not isinstance(value, bool)
+                    and math.isfinite(value)
+                    and value > 0
+                )
+            except OverflowError:  # an integer beyond the float range
+                ok = False
+            if not ok:
+                raise ValueError(f"{f.name} must be a finite positive number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -123,12 +133,14 @@ def _center_pixel(g, shape):
     return row, col
 
 
-def gripper_regions(g, model, shape):
-    """Rasterize finger and interior rectangles to pixel index sets.
+def _gripper_masks(g, model, shape):
+    """Rasterize the gripper once: ``(window, finger, interior)``.
 
-    Returns ``((finger_rows, finger_cols), (interior_rows, interior_cols))``
-    clipped to the image.  Pixels are included by a center-in-rectangle
-    test in the grasp frame; the sets are disjoint by construction.
+    ``window`` is a pair of slices into the image and ``finger`` /
+    ``interior`` are boolean masks of the window's shape.  The window is
+    the rotated rectangle's own bounding box plus a 1 px margin, clipped to
+    the image; a pixel belongs to a region by the center-in-rectangle test
+    in the grasp frame (u along the closing axis, v across it).
     """
     h, w = shape
     if not (0 <= g.x < w and 0 <= g.y < h):
@@ -144,27 +156,41 @@ def gripper_regions(g, model, shape):
 
     reach = half_w + finger_len
     half_t = thickness / 2.0
-    radius = math.hypot(reach, half_t)
-    r0 = max(0, int(math.floor(g.y - radius)))
-    r1 = min(h - 1, int(math.ceil(g.y + radius)))
-    c0 = max(0, int(math.floor(g.x - radius)))
-    c1 = min(w - 1, int(math.ceil(g.x + radius)))
-    rows = np.arange(r0, r1 + 1)
-    cols = np.arange(c0, c1 + 1)
-    yy = rows[:, None] - g.y
-    xx = cols[None, :] - g.x
     cos_t, sin_t = math.cos(g.theta), math.sin(g.theta)
-    u = cos_t * xx + sin_t * yy       # along the closing axis
-    v = -sin_t * xx + cos_t * yy      # across it
-    across = np.abs(v) <= half_t
-    finger = across & (
-        ((u >= half_w) & (u <= half_w + finger_len))
-        | ((u <= -half_w) & (u >= -half_w - finger_len))
-    )
-    interior = across & (np.abs(u) < half_w)
+    # The 1 px margin covers rounding in u and v at the rectangle's edges.
+    # min() clips to the image first, so an extent that overflowed to inf
+    # or NaN (huge model sizes) cannot reach math.floor.
+    ex = min(w, abs(cos_t) * reach + abs(sin_t) * half_t + 1.0)
+    ey = min(h, abs(sin_t) * reach + abs(cos_t) * half_t + 1.0)
+    r0 = max(0, math.floor(g.y - ey))
+    r1 = min(h, math.ceil(g.y + ey) + 1)
+    c0 = max(0, math.floor(g.x - ex))
+    c1 = min(w, math.ceil(g.x + ex) + 1)
+    yy = np.arange(r0, r1, dtype=float)[:, None] - g.y
+    xx = np.arange(c0, c1, dtype=float) - g.x
+    u = cos_t * xx + sin_t * yy  # along the closing axis
+    v = -sin_t * xx + cos_t * yy  # across it
+    np.abs(u, out=u)
+    across = np.abs(v, out=v) <= half_t
+    # |u| folds the two finger bands into one test; IEEE negation is exact
+    finger = across & (u >= half_w) & (u <= reach)
+    interior = across & (u < half_w)
+    return (slice(r0, r1), slice(c0, c1)), finger, interior
+
+
+def gripper_regions(g, model, shape):
+    """Rasterize finger and interior rectangles to pixel index sets.
+
+    Returns ``((finger_rows, finger_cols), (interior_rows, interior_cols))``
+    clipped to the image, each in row-major order.  Only the rectangle's
+    own bounding box is scanned; pixels are included by a center-in-
+    rectangle test in the grasp frame, so the sets are disjoint by
+    construction.
+    """
+    (rows, cols), finger, interior = _gripper_masks(g, model, shape)
     fr, fc = np.nonzero(finger)
     ir, ic = np.nonzero(interior)
-    return (rows[fr], cols[fc]), (rows[ir], cols[ic])
+    return (fr + rows.start, fc + cols.start), (ir + rows.start, ic + cols.start)
 
 
 def collision_score(g, depth_image, model, regions=None):
@@ -198,11 +224,24 @@ def height_score(g, depth_image):
 
 
 def score_grasp(g, depth_image, model):
-    """All three scores for one grasp; raises on capacity/degenerate cases."""
-    regions = gripper_regions(g, model, depth_image.shape)
+    """All three scores for one grasp; raises on capacity/degenerate cases.
+
+    Counts pixels on the masks of one rasterization; each fraction is an
+    exact count divided once, equal to the mean over the index sets that
+    ``collision_score`` and ``occupancy_score`` take.
+    """
+    window, finger, interior = _gripper_masks(g, model, depth_image.shape)
+    n_finger = np.count_nonzero(finger)
+    if n_finger == 0:
+        raise DegenerateRegionError("finger region clipped to zero pixels")
+    n_interior = np.count_nonzero(interior)
+    if n_interior == 0:
+        raise DegenerateRegionError("interior region clipped to zero pixels")
+    pc = _center_pixel(g, depth_image.shape)
+    d = depth_image.depth[window]
     return GraspScore.compute(
-        collision_score(g, depth_image, model, regions),
-        occupancy_score(g, depth_image, model, regions),
+        float(np.count_nonzero(finger & (d > depth_image.depth[pc])) / n_finger),
+        float(np.count_nonzero(interior & (d < depth_image.surface[pc])) / n_interior),
         height_score(g, depth_image),
     )
 

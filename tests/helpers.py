@@ -38,6 +38,70 @@ def iou_rasterized(rect_a, rect_b, resolution=1000):
     return np.count_nonzero(in_a & in_b) / union
 
 
+def gripper_regions_reference(g, model, shape):
+    """Reference gripper rasterizer: scans the box around the rectangle's
+    circumscribed circle and keeps pixels by the center-in-rectangle test,
+    with the two finger bands tested separately on signed u."""
+    from graspkit import GripperCapacityError
+
+    h, w = shape
+    if not (0 <= g.x < w and 0 <= g.y < h):
+        raise ValueError(f"grasp center ({g.x:.1f}, {g.y:.1f}) outside {w}x{h} image")
+    ppmm = model.pixels_per_mm
+    if g.w / ppmm > model.max_open_mm:
+        raise GripperCapacityError(
+            f"grasp opening {g.w / ppmm:.1f} mm exceeds max open {model.max_open_mm} mm"
+        )
+    finger_len = model.finger_length_mm * ppmm
+    thickness = model.finger_thickness_mm * ppmm
+    half_w = g.w / 2.0
+
+    reach = half_w + finger_len
+    half_t = thickness / 2.0
+    radius = math.hypot(reach, half_t)
+    r0 = max(0, int(math.floor(g.y - radius)))
+    r1 = min(h - 1, int(math.ceil(g.y + radius)))
+    c0 = max(0, int(math.floor(g.x - radius)))
+    c1 = min(w - 1, int(math.ceil(g.x + radius)))
+    rows = np.arange(r0, r1 + 1)
+    cols = np.arange(c0, c1 + 1)
+    yy = rows[:, None] - g.y
+    xx = cols[None, :] - g.x
+    cos_t, sin_t = math.cos(g.theta), math.sin(g.theta)
+    u = cos_t * xx + sin_t * yy       # along the closing axis
+    v = -sin_t * xx + cos_t * yy      # across it
+    across = np.abs(v) <= half_t
+    finger = across & (
+        ((u >= half_w) & (u <= half_w + finger_len))
+        | ((u <= -half_w) & (u >= -half_w - finger_len))
+    )
+    interior = across & (np.abs(u) < half_w)
+    fr, fc = np.nonzero(finger)
+    ir, ic = np.nonzero(interior)
+    return (rows[fr], cols[fc]), (rows[ir], cols[ic])
+
+
+def score_grasps_reference(grasps, depth_image, model):
+    """Per-grasp loop over the reference index sets: the mean-over-indices
+    scores, failures demoted to total -1, stable re-rank by total."""
+    from graspkit import GraspScore, collision_score, height_score, occupancy_score
+
+    scored = []
+    for g in grasps:
+        try:
+            regions = gripper_regions_reference(g, model, depth_image.shape)
+            score = GraspScore.compute(
+                collision_score(g, depth_image, model, regions),
+                occupancy_score(g, depth_image, model, regions),
+                height_score(g, depth_image),
+            )
+        except ValueError:
+            score = GraspScore.failed()
+        scored.append((g, score))
+    scored.sort(key=lambda pair: -pair[1].total)
+    return scored
+
+
 def naive_detection_loss(pred, truth, n_grasps, alpha=2.0, beta=4.0, eps=1e-12):
     """Literal double-loop transcription of the per-pixel focal loss."""
     pred = np.asarray(pred, dtype=float)

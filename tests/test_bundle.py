@@ -17,6 +17,7 @@ from graspkit import (
     read_bundle,
     read_gktb,
     write_bundle,
+    write_gktb,
 )
 from helpers import random_bundle
 
@@ -218,10 +219,36 @@ _ONE_PLANE = {"num_classes": 1, "height": 1, "width": 1, "downsample_ratio": 1,
         dict(_ONE_PLANE, planes=[{"name": "depth", "count": None}]),
         dict(_ONE_PLANE, height="x"),
         dict(_ONE_PLANE, height=2.7),
+        dict(_ONE_PLANE, planes=[]),
     ],
-    ids=["list-header", "number-header", "planes-not-list", "count-null", "height-text", "height-float"],
+    ids=["list-header", "number-header", "planes-not-list", "count-null", "height-text", "height-float",
+         "no-planes"],
 )
 def test_malformed_header_fields_raise_header_error(header):
     assert read_gktb(io.BytesIO(_gktb_with_header(_ONE_PLANE)))[1][0][1].shape == (1, 1, 1)
     with pytest.raises(HeaderError):
         read_gktb(io.BytesIO(_gktb_with_header(header)))
+
+
+# 10**6 x 10**6 grid, 1000 planes: 4e15 declared bytes on a stream of ~150
+_HUGE_PLANE = dict(_ONE_PLANE, height=10**6, width=10**6, planes=[{"name": "depth", "count": 1000}])
+
+
+def test_declared_sizes_beyond_the_stream_are_not_allocated(tmp_path):
+    path = tmp_path / "huge.gktb"
+    path.write_bytes(_gktb_with_header(_HUGE_PLANE))
+    with pytest.raises(DimensionError, match="truncated"):
+        read_gktb(path)
+    path.write_bytes(b"GKTB" + struct.pack("<B", 1) + struct.pack("<I", 2**32 - 1) + b"{}")
+    with pytest.raises(HeaderError, match="inside the JSON header"):
+        read_gktb(path)
+
+
+def test_planes_larger_than_one_read_chunk_roundtrip(tmp_path):
+    depth = np.random.default_rng(8).random((2, 600, 600), dtype=np.float32)  # 2.9 MB
+    path = tmp_path / "big.gktb"
+    write_gktb(path, [("depth", depth)], num_classes=0, downsample_ratio=1)
+    _, planes = read_gktb(path)
+    assert np.array_equal(planes[0][1], depth)
+    with pytest.raises(DimensionError, match="truncated"):
+        read_gktb(io.BytesIO(path.read_bytes()[:-1]))

@@ -131,6 +131,48 @@ def test_group_malformed_header_is_data_error(tmp_path, header):
     assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
 
 
+def test_group_oversized_declared_plane_is_data_error(tmp_path):
+    header = {"num_classes": 18, "height": 10**6, "width": 10**6, "downsample_ratio": 4,
+              "planes": [{"name": "left", "count": 1000}]}
+    blob = json.dumps(header).encode("utf-8")
+    path = tmp_path / "huge.gktb"
+    path.write_bytes(b"GKTB" + bytes([1]) + len(blob).to_bytes(4, "little") + blob + b"\0" * 64)
+    proc = run_cli("group", "--bundle", str(path), "--profile", "cornell")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "truncated" in proc.stderr
+
+
+def _score_inputs(tmp_path):
+    depth_path = tmp_path / "d.gktb"
+    write_depth_gktb(DepthImage.flat_surface(np.full((60, 60), 1000.0, np.float32), 1000.0), depth_path)
+    grasps_path = tmp_path / "g.jsonl"
+    write_annotations([Grasp(30.0, 30.0, 0.0, 20.0)], grasps_path)
+    return grasps_path, depth_path
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"finger_thickness_mm": "x"}',
+        '{"pixels_per_mm": null}',
+        "[1, 2]",
+        '{"finger_length_mm": Infinity}',
+        '{"pixels_per_mm": NaN}',
+        '{"finger_thickness_mm": true}',
+    ],
+    ids=["text", "null", "list", "infinity", "nan", "bool"],
+)
+def test_score_bad_gripper_spec_is_data_error(tmp_path, spec):
+    grasps_path, depth_path = _score_inputs(tmp_path)
+    gripper_path = tmp_path / "gripper.json"
+    gripper_path.write_text(spec)
+    proc = run_cli("score", "--grasps", str(grasps_path), "--depth", str(depth_path),
+                   "--gripper", str(gripper_path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+    assert proc.stdout == ""
+
+
 def test_score_command(tmp_path):
     depth = np.full((300, 300), 1000.0, np.float32)
     depth[130:170, 130:170] = 960.0

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graspkit import (
     DegenerateRegionError,
@@ -23,6 +25,8 @@ from graspkit import (
     select_dynamic,
     write_depth_gktb,
 )
+from graspkit.binpick import make_scene
+from helpers import gripper_regions_reference, score_grasps_reference
 
 MODEL = GripperModel2D()  # 17 mm fingers, 200 mm max open, 40 mm length, 1 px/mm
 
@@ -212,3 +216,117 @@ def test_grasp_score_failed_sentinel():
     assert math.isnan(s.collision)
     d = s.to_dict()
     assert d["collision"] is None and d["total"] == -1.0
+
+
+def _center(draw, size):
+    kind = draw(st.sampled_from(["integer", "half", "border", "free"]))
+    if kind == "integer":
+        return float(draw(st.integers(0, size - 1)))
+    if kind == "half":
+        return draw(st.integers(0, size - 1)) + 0.5
+    if kind == "border":  # within 1 px of either border
+        return draw(st.sampled_from([0.0, 1e-9, 0.5, 1.0, size - 1.0, size - 0.5, size - 1e-9]))
+    return draw(st.floats(0.0, size, exclude_max=True))
+
+
+def _size(lo, hi):
+    # whole sizes put rectangle edges exactly on pixel centers
+    whole = st.integers(math.ceil(lo), math.floor(hi)).map(float) if math.ceil(lo) <= hi else st.nothing()
+    return st.one_of(whole, st.floats(lo, hi))
+
+
+@st.composite
+def _grasp_cases(draw):
+    h, w = draw(st.integers(1, 160)), draw(st.integers(1, 160))
+    model = GripperModel2D(
+        finger_thickness_mm=draw(_size(0.5, 30.0)),
+        max_open_mm=draw(_size(1.0, 200.0)),
+        finger_length_mm=draw(_size(0.5, 60.0)),
+        pixels_per_mm=draw(st.sampled_from([0.25, 0.5, 1.0, 1.7, 3.0])),
+    )
+    theta = draw(st.one_of(
+        st.sampled_from([0.0, math.pi / 2, math.pi / 4, -math.pi / 4]),
+        st.floats(-math.pi / 2, math.pi / 2, exclude_min=True),
+    ))
+    max_w = model.max_open_mm * model.pixels_per_mm
+    width = draw(st.one_of(
+        st.sampled_from([0.01, max_w]),  # empty interior; opening exactly at capacity
+        _size(0.01, max_w),
+    ))
+    return Grasp(_center(draw, w), _center(draw, h), theta, width), model, (h, w)
+
+
+def _regions_or_error(fn, g, model, shape):
+    try:
+        return fn(g, model, shape)
+    except ValueError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grasp_cases())
+def test_gripper_regions_match_circumscribed_window_reference(case):
+    g, model, shape = case
+    got = _regions_or_error(gripper_regions, g, model, shape)
+    want = _regions_or_error(gripper_regions_reference, g, model, shape)
+    if isinstance(want, type):
+        assert got is want
+        return
+    for got_idx, want_idx in zip((*got[0], *got[1]), (*want[0], *want[1])):
+        assert got_idx.dtype == want_idx.dtype
+        assert np.array_equal(got_idx, want_idx)  # same pixels, same row-major order
+
+
+def test_score_grasps_match_reference_loop_on_clean_and_noisy_scenes():
+    rng = np.random.default_rng(11)
+    for seed in range(12):
+        scene = make_scene(seed, int(rng.integers(1, 26)))
+        clean = scene.render()
+        noisy = clean.depth + rng.normal(0.0, 5.0, clean.shape).astype(np.float32)
+        h, w = clean.shape
+        grasps = [b.oracle_grasp() for b in scene.blocks]
+        grasps += [
+            Grasp(float(rng.uniform(0, w)), float(rng.uniform(0, h)),
+                  float(rng.uniform(-math.pi / 2 + 1e-9, math.pi / 2)), float(rng.uniform(0.01, 250)))
+            for _ in range(8)
+        ]
+        grasps += [
+            Grasp(w + 3.0, 10.0, 0.0, 30.0),                       # off the image
+            Grasp(0.2, h - 0.7, math.pi / 4, 0.05),                # tiny, in a corner
+            Grasp(w / 2, h / 2, -math.pi / 4, 201.0),              # over capacity
+            Grasp(w / 2 + 0.5, h / 2 + 0.5, math.pi / 2, 200.0),  # exactly at capacity
+        ]
+        for depth in (clean, DepthImage(noisy, clean.surface)):  # ties at the strict steps, then none
+            got = score_grasps(grasps, depth, MODEL)
+            want = score_grasps_reference(grasps, depth, MODEL)
+            assert [id(g) for g, _ in got] == [id(g) for g, _ in want]
+            assert [s.to_dict() for _, s in got] == [s.to_dict() for _, s in want]
+            assert repr([s for _, s in got]) == repr([s for _, s in want])  # same types too
+
+
+def test_huge_model_sizes_clip_to_the_image():
+    # finite fields whose pixel sizes overflow to inf: the window is the image
+    huge = GripperModel2D(finger_thickness_mm=1e300, max_open_mm=1e300,
+                          finger_length_mm=1e300, pixels_per_mm=1e10)
+    scene = flat_scene(side=20)
+    (fr, _), (ir, _) = gripper_regions(Grasp(5.0, 5.0, 0.0, 3.0), huge, scene.shape)
+    assert fr.size + ir.size == 20 * 20
+    assert score_grasp(Grasp(5.0, 5.0, 0.0, 3.0), scene, huge).valid
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("finger_thickness_mm", "x"),
+        ("pixels_per_mm", None),
+        ("finger_length_mm", math.inf),
+        ("pixels_per_mm", math.nan),
+        ("finger_thickness_mm", True),
+        ("max_open_mm", 10**400),
+        ("max_open_mm", -1.0),
+    ],
+    ids=["text", "null", "inf", "nan", "bool", "int-beyond-float", "negative"],
+)
+def test_gripper_model_rejects_non_finite_or_non_numeric_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        GripperModel2D(**{field: value})
