@@ -9,27 +9,21 @@ error, 2 data or validation error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import losses
 from .bundle import read_bundle, read_gktb, write_bundle
+from .checks import run_gradcheck_battery, run_selftest
 from .decoder import decode_bundle
 from .depth import GripperModel2D, read_depth_gktb, score_grasps
 from .encoder import EncoderConfig, ideal_bundle
 from .evaluator import MatchCriteria, evaluate_dataset
-from .geometry import (
-    OrientedRect,
-    grasp_to_record,
-    read_annotation_groups,
-    read_annotations,
-    rotated_iou,
-)
-from .grouper import GroupingThresholds, group
+from .geometry import grasp_to_record, read_annotation_groups, read_annotations
+from .grouper import group
 from .binpick import make_scene, oracle_detector, pipeline_detector, run_bin_picking
 from .dataset import classify_annotation, coverage_ratio
 from .profiles import get_profile
@@ -61,23 +55,29 @@ def _parse_size(text):
 
 
 def _thresholds(args, profile):
-    base = profile.thresholds
-    overrides = {}
-    if args.rho_embed is not None:
-        overrides["rho_embed"] = args.rho_embed
-    if getattr(args, "rho_cen", None) is not None:
-        overrides["rho_cen"] = args.rho_cen
-    if getattr(args, "tau_orient", None) is not None:
-        overrides["tau_orient"] = args.tau_orient
-    if getattr(args, "top", None) is not None:
-        overrides["max_output"] = args.top
-    thresholds = GroupingThresholds(
-        rho_embed=overrides.get("rho_embed", base.rho_embed),
-        rho_cen=overrides.get("rho_cen", base.rho_cen),
-        tau_orient=overrides.get("tau_orient", base.tau_orient),
-        max_output=overrides.get("max_output", base.max_output),
-    )
-    return thresholds, overrides
+    overrides = {
+        name: value
+        for name, value in (
+            ("rho_embed", args.rho_embed),
+            ("rho_cen", args.rho_cen),
+            ("tau_orient", args.tau_orient),
+            ("max_output", args.top),
+        )
+        if value is not None
+    }
+    return dataclasses.replace(profile.thresholds, **overrides), overrides
+
+
+def _profile_and_bundle(args):
+    """The ``--profile`` and the ``--bundle``, which must agree on the class count."""
+    profile = get_profile(args.profile)
+    bundle = read_bundle(args.bundle)
+    if bundle.num_classes != profile.num_classes:
+        raise ValueError(
+            f"bundle has {bundle.num_classes} classes but profile "
+            f"{profile.name} expects {profile.num_classes}"
+        )
+    return profile, bundle
 
 
 def _cmd_encode(args):
@@ -106,13 +106,7 @@ def _cmd_encode(args):
 
 
 def _cmd_decode(args):
-    profile = get_profile(args.profile)
-    bundle = read_bundle(args.bundle)
-    if bundle.num_classes != profile.num_classes:
-        raise ValueError(
-            f"bundle has {bundle.num_classes} classes but profile "
-            f"{profile.name} expects {profile.num_classes}"
-        )
+    profile, bundle = _profile_and_bundle(args)
     left, right = decode_bundle(bundle, k=args.k)
     for kp in left + right:
         _emit(
@@ -130,13 +124,7 @@ def _cmd_decode(args):
 
 
 def _cmd_group(args):
-    profile = get_profile(args.profile)
-    bundle = read_bundle(args.bundle)
-    if bundle.num_classes != profile.num_classes:
-        raise ValueError(
-            f"bundle has {bundle.num_classes} classes but profile "
-            f"{profile.name} expects {profile.num_classes}"
-        )
+    profile, bundle = _profile_and_bundle(args)
     thresholds, overrides = _thresholds(args, profile)
     grasps = group(bundle, thresholds, k=args.k)
     for g in grasps:
@@ -163,18 +151,13 @@ def _cmd_score(args):
     if not grasps:
         raise ValueError(f"no grasps in {args.grasps}")
     depth_image = read_depth_gktb(args.depth, surface_mm=args.surface_depth)
-    if args.gripper:
-        spec = json.loads(Path(args.gripper).read_text())
-        if not isinstance(spec, dict):
-            raise ValueError(f"gripper spec must be a JSON object, got {type(spec).__name__}")
-        model = GripperModel2D(
-            finger_thickness_mm=spec.get("finger_thickness_mm", 17.0),
-            max_open_mm=spec.get("max_open_mm", 200.0),
-            finger_length_mm=spec.get("finger_length_mm", 40.0),
-            pixels_per_mm=spec.get("pixels_per_mm", 1.0),
-        )
-    else:
-        model = GripperModel2D()
+    spec = json.loads(Path(args.gripper).read_text()) if args.gripper else {}
+    if not isinstance(spec, dict):
+        raise ValueError(f"gripper spec must be a JSON object, got {type(spec).__name__}")
+    unknown = sorted(set(spec) - {f.name for f in dataclasses.fields(GripperModel2D)})
+    if unknown:
+        raise ValueError(f"unknown gripper spec keys {unknown}")
+    model = GripperModel2D(**spec)
     for g, score in score_grasps(grasps, depth_image, model):
         rec = grasp_to_record(g)
         rec["scores"] = score.to_dict()
@@ -227,166 +210,12 @@ def _cmd_filter_jacquard(args):
     return 0
 
 
-def _random_smooth_detection_point(rng, shape):
-    truth = rng.uniform(0.0, 0.9, size=shape)
-    peaks = rng.random(size=shape) < 0.1
-    truth[peaks] = 1.0
-    pred = rng.uniform(0.05, 0.95, size=shape)
-    return pred, truth
-
-
-def run_gradcheck_battery(seed=0, points=100, step=1e-5, tolerance=1e-4):
-    """Finite-difference validation of all five losses at random smooth points."""
-    rng = np.random.default_rng(seed)
-    results = {}
-
-    worst = 0.0
-    for _ in range(points):
-        pred, truth = _random_smooth_detection_point(rng, (2, 4, 4))
-        n = int(rng.integers(1, 5))
-        report = losses.gradient_check(
-            lambda x: losses.detection_loss(x, truth, n), pred, step=step, rel_tol=tolerance
-        )
-        worst = max(worst, report.max_error)
-    results["detection"] = {"max_error": worst, "passed": worst < tolerance}
-
-    worst = 0.0
-    for _ in range(points):
-        center_truth = rng.uniform(0.0, 0.9, size=(5, 5))
-        center_truth[rng.integers(0, 5), rng.integers(0, 5)] = 1.0
-        pred = rng.uniform(0.05, 0.95, size=(5, 5))
-        report = losses.gradient_check(
-            lambda x: losses.detection_loss(x, center_truth, 1), pred, step=step, rel_tol=tolerance
-        )
-        worst = max(worst, report.max_error)
-    results["detection_center"] = {"max_error": worst, "passed": worst < tolerance}
-
-    worst = 0.0
-    for _ in range(points):
-        truth_off = rng.random((6, 2))
-        # stay >= 10*step away from the smooth-L1 kink at |d| = 1
-        delta = rng.uniform(-0.9, 0.9, size=(6, 2))
-        pred_off = truth_off + delta
-        report = losses.gradient_check(
-            lambda x: losses.offset_loss(x, truth_off), pred_off, step=step, rel_tol=tolerance
-        )
-        worst = max(worst, report.max_error)
-    results["offset"] = {"max_error": worst, "passed": worst < tolerance}
-
-    worst = 0.0
-    for _ in range(points):
-        pairs = rng.normal(0.0, 2.0, size=(5, 2))
-        report = losses.gradient_check(losses.pull_loss, pairs, step=step, rel_tol=tolerance)
-        worst = max(worst, report.max_error)
-    results["pull"] = {"max_error": worst, "passed": worst < tolerance}
-
-    worst = 0.0
-    kept = 0
-    while kept < points:
-        pairs = rng.normal(0.0, 2.0, size=(4, 2))
-        means = pairs.mean(axis=1)
-        gaps = np.abs(means[:, None] - means[None, :])[~np.eye(4, dtype=bool)]
-        # keep clear of the hinge kinks at gap 0 and gap 1
-        if np.any(np.abs(gaps - 1.0) < 10 * step) or np.any(gaps < 10 * step):
-            continue
-        kept += 1
-        report = losses.gradient_check(losses.push_loss, pairs, step=step, rel_tol=tolerance)
-        worst = max(worst, report.max_error)
-    results["push"] = {"max_error": worst, "passed": worst < tolerance}
-
-    passed = all(entry["passed"] for entry in results.values())
-    return {"seed": seed, "points": points, "step": step, "tolerance": tolerance,
-            "losses": results, "passed": passed}
-
-
 def _cmd_gradcheck(args):
     report = run_gradcheck_battery(
         seed=args.seed, points=args.points, step=args.step, tolerance=args.tolerance
     )
     _emit(report)
     return 0 if report["passed"] else 2
-
-
-def run_selftest(seed=0):
-    """Quick end-to-end health check: pipeline round-trip, gradients, format."""
-    checks = []
-    rng = np.random.default_rng(seed)
-
-    recovered = 0
-    expected = 0
-    for trial in range(10):
-        profile = get_profile("cornell" if trial % 2 == 0 else "ajd")
-        config = EncoderConfig(228, 228, profile.num_classes, profile.downsample_ratio)
-        grasps = _separated_grasps(rng, int(rng.integers(1, 6)))
-        bundle = ideal_bundle(grasps, config, seed=int(rng.integers(0, 2**31)))
-        found = group(bundle, profile.thresholds)
-        expected += len(grasps)
-        for g in grasps:
-            rect = OrientedRect((g.x, g.y), g.w, 20.0, g.theta)
-            for f in found:
-                cand = OrientedRect((f.x, f.y), f.w, 20.0, f.theta)
-                if rotated_iou(rect, cand) > 0.9:
-                    recovered += 1
-                    break
-    checks.append(
-        {"name": "pipeline-round-trip", "passed": recovered == expected,
-         "detail": f"{recovered}/{expected} grasps recovered"}
-    )
-
-    grad = run_gradcheck_battery(seed=seed, points=20)
-    checks.append(
-        {"name": "gradient-check", "passed": grad["passed"],
-         "detail": {k: v["max_error"] for k, v in grad["losses"].items()}}
-    )
-
-    import io
-
-    fmt_ok = True
-    for _ in range(10):
-        bundle = _random_bundle(rng)
-        buf = io.BytesIO()
-        write_bundle(bundle, buf)
-        buf.seek(0)
-        if not read_bundle(buf).equals(bundle):
-            fmt_ok = False
-    checks.append({"name": "gktb-round-trip", "passed": fmt_ok, "detail": "10 random bundles"})
-
-    return {"seed": seed, "checks": checks, "passed": all(c["passed"] for c in checks)}
-
-
-def _separated_grasps(rng, n, image=228, grid=3):
-    from .geometry import Grasp, wrap_angle
-
-    cell = image // grid
-    cells = rng.permutation(grid * grid)[:n]
-    grasps = []
-    for cellno in cells:
-        r, c = divmod(int(cellno), grid)
-        cx = c * cell + cell / 2 + float(rng.uniform(-4, 4))
-        cy = r * cell + cell / 2 + float(rng.uniform(-4, 4))
-        theta = wrap_angle(float(rng.uniform(-math.pi / 2, math.pi / 2)))
-        w = float(rng.uniform(20, 36))
-        grasps.append(Grasp(cx, cy, theta, w))
-    return grasps
-
-
-def _random_bundle(rng):
-    from .bundle import HeatmapBundle
-
-    c = int(rng.integers(1, 5))
-    h = int(rng.integers(2, 12))
-    w = int(rng.integers(2, 12))
-    return HeatmapBundle(
-        left=rng.random((c, h, w), dtype=np.float32),
-        right=rng.random((c, h, w), dtype=np.float32),
-        center=rng.random((h, w), dtype=np.float32),
-        offsetL=rng.random((2, h, w), dtype=np.float32),
-        offsetR=rng.random((2, h, w), dtype=np.float32),
-        embedL=rng.normal(size=(h, w)).astype(np.float32),
-        embedR=rng.normal(size=(h, w)).astype(np.float32),
-        num_classes=c,
-        downsample_ratio=int(rng.integers(1, 8)),
-    )
 
 
 def _cmd_selftest(args):

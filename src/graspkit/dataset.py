@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import rect_from_grasp
+from .geometry import _rect_frame, rect_from_grasp
 
 
 class DegenerateMaskError(ValueError):
@@ -44,27 +44,6 @@ def classify_annotation(ratio):
     return CoverageDecision(float(ratio), "flag-for-review")
 
 
-def _rect_mask(rect, shape):
-    h, w = shape
-    corners = rect.corners()
-    c0 = max(0, int(np.floor(corners[:, 0].min())))
-    c1 = min(w - 1, int(np.ceil(corners[:, 0].max())))
-    r0 = max(0, int(np.floor(corners[:, 1].min())))
-    r1 = min(h - 1, int(np.ceil(corners[:, 1].max())))
-    if c0 > c1 or r0 > r1:
-        return None, None, None
-    cols = np.arange(c0, c1 + 1)
-    rows = np.arange(r0, r1 + 1)
-    cx, cy = rect.center
-    xx = cols[None, :] - cx
-    yy = rows[:, None] - cy
-    cos_t, sin_t = np.cos(rect.theta), np.sin(rect.theta)
-    u = cos_t * xx + sin_t * yy
-    v = -sin_t * xx + cos_t * yy
-    inside = (np.abs(u) <= rect.width / 2.0) & (np.abs(v) <= rect.height / 2.0)
-    return inside, rows, cols
-
-
 def coverage_ratio(grasps, mask):
     """|union of grasp rectangles intersected with mask| / |mask|.
 
@@ -78,10 +57,10 @@ def coverage_ratio(grasps, mask):
         raise DegenerateMaskError("mask has no foreground pixels")
     union = np.zeros(binary.shape, dtype=bool)
     for g in grasps:
-        inside, rows, cols = _rect_mask(rect_from_grasp(g), binary.shape)
-        if inside is None:
-            continue
-        union[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1] |= inside
+        rect = rect_from_grasp(g)
+        half_u, half_v = rect.width / 2.0, rect.height / 2.0
+        window, u, v = _rect_frame(rect.center, rect.theta, half_u, half_v, binary.shape)
+        union[window] |= (u <= half_u) & (v <= half_v)
     return float((union & binary).sum()) / total
 
 

@@ -17,12 +17,12 @@ strict Heaviside step (H(0) = 0).  The total is the plain sum s_c+s_o+s_h.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .bundle import read_gktb, write_gktb
+from .geometry import _finite_number, _rect_frame
 
 
 class GripperCapacityError(ValueError):
@@ -79,16 +79,7 @@ class GripperModel2D:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            try:
-                ok = (
-                    isinstance(value, numbers.Real)
-                    and not isinstance(value, bool)
-                    and math.isfinite(value)
-                    and value > 0
-                )
-            except OverflowError:  # an integer beyond the float range
-                ok = False
-            if not ok:
+            if not (_finite_number(value) and value > 0):
                 raise ValueError(f"{f.name} must be a finite positive number, got {value!r}")
 
 
@@ -137,10 +128,9 @@ def _gripper_masks(g, model, shape):
     """Rasterize the gripper once: ``(window, finger, interior)``.
 
     ``window`` is a pair of slices into the image and ``finger`` /
-    ``interior`` are boolean masks of the window's shape.  The window is
-    the rotated rectangle's own bounding box plus a 1 px margin, clipped to
-    the image; a pixel belongs to a region by the center-in-rectangle test
-    in the grasp frame (u along the closing axis, v across it).
+    ``interior`` are boolean masks of the window's shape.  A pixel belongs
+    to a region by the center-in-rectangle test in the grasp frame of
+    :func:`geometry._rect_frame` (u along the closing axis, v across it).
     """
     h, w = shape
     if not (0 <= g.x < w and 0 <= g.y < h):
@@ -150,32 +140,15 @@ def _gripper_masks(g, model, shape):
         raise GripperCapacityError(
             f"grasp opening {g.w / ppmm:.1f} mm exceeds max open {model.max_open_mm} mm"
         )
-    finger_len = model.finger_length_mm * ppmm
-    thickness = model.finger_thickness_mm * ppmm
     half_w = g.w / 2.0
-
-    reach = half_w + finger_len
-    half_t = thickness / 2.0
-    cos_t, sin_t = math.cos(g.theta), math.sin(g.theta)
-    # The 1 px margin covers rounding in u and v at the rectangle's edges.
-    # min() clips to the image first, so an extent that overflowed to inf
-    # or NaN (huge model sizes) cannot reach math.floor.
-    ex = min(w, abs(cos_t) * reach + abs(sin_t) * half_t + 1.0)
-    ey = min(h, abs(sin_t) * reach + abs(cos_t) * half_t + 1.0)
-    r0 = max(0, math.floor(g.y - ey))
-    r1 = min(h, math.ceil(g.y + ey) + 1)
-    c0 = max(0, math.floor(g.x - ex))
-    c1 = min(w, math.ceil(g.x + ex) + 1)
-    yy = np.arange(r0, r1, dtype=float)[:, None] - g.y
-    xx = np.arange(c0, c1, dtype=float) - g.x
-    u = cos_t * xx + sin_t * yy  # along the closing axis
-    v = -sin_t * xx + cos_t * yy  # across it
-    np.abs(u, out=u)
-    across = np.abs(v, out=v) <= half_t
+    reach = half_w + model.finger_length_mm * ppmm
+    half_t = model.finger_thickness_mm * ppmm / 2.0
+    window, u, v = _rect_frame((g.x, g.y), g.theta, reach, half_t, shape)
+    across = v <= half_t
     # |u| folds the two finger bands into one test; IEEE negation is exact
     finger = across & (u >= half_w) & (u <= reach)
     interior = across & (u < half_w)
-    return (slice(r0, r1), slice(c0, c1)), finger, interior
+    return window, finger, interior
 
 
 def gripper_regions(g, model, shape):

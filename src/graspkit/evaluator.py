@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import OrientedRect, angle_diff, rotated_iou
+from .geometry import angle_diff, rect_from_grasp, rotated_iou
 
 
 class PairingError(ValueError):
@@ -74,21 +74,12 @@ class EvalReport:
         }
 
 
-def _pred_rect(pred, criteria):
-    return OrientedRect((pred.x, pred.y), pred.w, criteria.eval_height, pred.theta)
-
-
-def _truth_rect(truth, criteria):
-    th = truth.h if truth.h is not None else criteria.eval_height
-    return OrientedRect((truth.x, truth.y), truth.w, th, truth.theta)
-
-
 def is_match(pred, truth, criteria):
-    """True iff angle within tolerance and rotated IoU above the threshold."""
+    """True iff angle within tolerance and rotated IoU above the threshold
+    (the rule of ``_image_stats``; a pair failing the angle skips the IoU)."""
     if angle_diff(pred.theta, truth.theta) > criteria.max_angle_diff:
         return False
-    pr, tr = _pred_rect(pred, criteria), _truth_rect(truth, criteria)
-    return rotated_iou(pr, tr) > criteria.min_jaccard
+    return _image_stats([pred], [truth], criteria)[0]
 
 
 # Relative slack on the circumscribed-circle test, far above the rounding
@@ -120,8 +111,8 @@ def _image_stats(preds, truths, criteria):
     """(matched, best Jaccard, best angle difference) over all pairs."""
     if not preds or not truths:
         return False, 0.0, None
-    pred_rects = [_pred_rect(p, criteria) for p in preds]
-    truth_rects = [_truth_rect(t, criteria) for t in truths]
+    pred_rects = [rect_from_grasp(p, criteria.eval_height) for p in preds]
+    truth_rects = [rect_from_grasp(t, t.h or criteria.eval_height) for t in truths]
     angles = angle_diff(
         np.array([p.theta for p in preds])[:, None], np.array([t.theta for t in truths])[None, :]
     )

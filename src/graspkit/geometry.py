@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,10 +102,10 @@ class Grasp:
             raise ValueError(f"non-finite grasp fields ({self.x}, {self.y}, {self.theta})")
         if not (-HALF_PI < self.theta <= HALF_PI):
             raise ValueError(f"theta {self.theta} outside (-pi/2, pi/2]; wrap it first")
-        if not (self.w > 0):
-            raise ValueError(f"grasp width must be positive, got {self.w}")
-        if self.h is not None and not (self.h > 0):
-            raise ValueError(f"grasp height must be positive, got {self.h}")
+        if not (self.w > 0 and math.isfinite(self.w)):
+            raise ValueError(f"grasp width must be finite and positive, got {self.w}")
+        if self.h is not None and not (self.h > 0 and math.isfinite(self.h)):
+            raise ValueError(f"grasp height must be finite and positive, got {self.h}")
 
 
 def pair_to_grasp(pair):
@@ -190,6 +191,38 @@ def rect_from_grasp(g, height=None):
     return OrientedRect((g.x, g.y), g.w, h, g.theta)
 
 
+def _rect_frame(center, theta, half_u, half_v, shape):
+    """Scan window of a rotated rectangle and the frame distances in it.
+
+    Returns ``(window, abs_u, abs_v)``.  ``window`` is a pair of slices into
+    an image of ``shape``: the rows and columns from the floor to the ceiling
+    of the rectangle's bounding box, clipped to the image.  ``abs_u`` and
+    ``abs_v`` hold, for each window pixel center, |u| along the axis at
+    angle ``theta`` and |v| across it, measured from ``center``; the
+    rectangle holds the pixels with ``abs_u <= half_u`` and ``abs_v <= half_v``.
+    """
+    h, w = shape
+    cx, cy = center
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    # A pixel left out of the window lies at least 1 px beyond the bounding
+    # box, far more than the rounding in u and v.
+    ex = abs(cos_t) * half_u + abs(sin_t) * half_v
+    ey = abs(sin_t) * half_u + abs(cos_t) * half_v
+    # Bounds are clipped to the image before floor/ceil, so an extent that
+    # overflowed to inf or NaN covers the image instead of raising, and a
+    # rectangle wholly off the image gets an empty window rather than a
+    # negative stop that would wrap around.
+    r0 = math.floor(min(h, max(0, cy - ey)))
+    r1 = min(h, math.ceil(max(-1, min(h, cy + ey))) + 1)
+    c0 = math.floor(min(w, max(0, cx - ex)))
+    c1 = min(w, math.ceil(max(-1, min(w, cx + ex))) + 1)
+    yy = np.arange(r0, r1, dtype=float)[:, None] - cy
+    xx = np.arange(c0, c1, dtype=float) - cx
+    u = cos_t * xx + sin_t * yy
+    v = -sin_t * xx + cos_t * yy
+    return (slice(r0, r1), slice(c0, c1)), np.abs(u, out=u), np.abs(v, out=v)
+
+
 def _shoelace(poly):
     x = poly[:, 0]
     y = poly[:, 1]
@@ -248,17 +281,27 @@ def rotated_iou(a, b):
     return min(1.0, inter / union)
 
 
-def read_annotations(source):
-    """Read grasps from a JSON-lines annotation file (path or text file).
+def _finite_number(value):
+    """True for a real number, not a ``bool``, with a finite float value."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
-    File angles are degrees; they are wrapped into (-pi/2, pi/2] on load.
+
+def _read_records(source):
+    """Yield ``(record, Grasp)`` for each line of a JSON-lines annotation
+    file (path or text file).
+
+    Blank lines are skipped.  A line that is not JSON or not a valid
+    record (see :func:`grasp_from_record`) raises ``ValueError`` naming
+    the line.
     """
     if hasattr(source, "read"):
         lines = source.read().splitlines()
     else:
         with open(source, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    grasps = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -266,18 +309,40 @@ def read_annotations(source):
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: invalid JSON: {exc}") from exc
-        grasps.append(grasp_from_record(rec))
-    return grasps
+        try:
+            grasp = grasp_from_record(rec)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+        yield rec, grasp
+
+
+def read_annotations(source):
+    """Read grasps from a JSON-lines annotation file (path or text file).
+
+    File angles are degrees; they are wrapped into (-pi/2, pi/2] on load.
+    """
+    return [g for _, g in _read_records(source)]
 
 
 def grasp_from_record(rec):
-    h = rec.get("h")
+    """Build a :class:`Grasp` from one annotation record.
+
+    The record must be a JSON object whose ``x``, ``y``, ``theta_deg`` and
+    ``w``, and ``h`` unless it is null, are finite numbers, not booleans;
+    anything else raises ``ValueError`` naming the field.
+    """
+    if not isinstance(rec, dict):
+        raise ValueError(f"record must be a JSON object, got {type(rec).__name__}")
+    for name in ("x", "y", "theta_deg", "w", "h"):
+        value = rec.get(name)
+        if not (_finite_number(value) or (name == "h" and value is None)):
+            raise ValueError(f"field {name!r} must be a finite number, got {value!r}")
     return Grasp(
         x=float(rec["x"]),
         y=float(rec["y"]),
         theta=wrap_angle(math.radians(float(rec["theta_deg"]))),
         w=float(rec["w"]),
-        h=None if h is None else float(h),
+        h=None if rec.get("h") is None else float(rec["h"]),
     )
 
 
@@ -307,18 +372,7 @@ def read_annotation_groups(source):
     Records without an id land in group "0".  Returns {image_id: [Grasp]}
     preserving record order within each group.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
     groups = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: invalid JSON: {exc}") from exc
-        groups.setdefault(str(rec.get("image_id", "0")), []).append(grasp_from_record(rec))
+    for rec, g in _read_records(source):
+        groups.setdefault(str(rec.get("image_id", "0")), []).append(g)
     return groups

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from graspkit import EncoderConfig, Grasp, HeatmapBundle, OrientedRect, ideal_bundle, wrap_angle
+from graspkit import EncoderConfig, Grasp, HeatmapBundle, OrientedRect, ideal_bundle
+from graspkit.checks import random_bundle, separated_grasps as random_separated_grasps  # noqa: F401
 
 
 def iou_rasterized(rect_a, rect_b, resolution=1000):
@@ -81,6 +82,36 @@ def gripper_regions_reference(g, model, shape):
     return (rows[fr], cols[fc]), (rows[ir], cols[ic])
 
 
+def coverage_ratio_reference(grasps, mask):
+    """Reference coverage ratio: each rectangle is scanned over the floor/ceil
+    box of its corners and keeps pixels by the center-in-rectangle test."""
+    from graspkit import rect_from_grasp
+
+    binary = np.asarray(mask) > 0.5
+    union = np.zeros(binary.shape, dtype=bool)
+    h, w = binary.shape
+    for g in grasps:
+        rect = rect_from_grasp(g)
+        corners = rect.corners()
+        c0 = max(0, int(np.floor(corners[:, 0].min())))
+        c1 = min(w - 1, int(np.ceil(corners[:, 0].max())))
+        r0 = max(0, int(np.floor(corners[:, 1].min())))
+        r1 = min(h - 1, int(np.ceil(corners[:, 1].max())))
+        if c0 > c1 or r0 > r1:
+            continue
+        cols = np.arange(c0, c1 + 1)
+        rows = np.arange(r0, r1 + 1)
+        cx, cy = rect.center
+        xx = cols[None, :] - cx
+        yy = rows[:, None] - cy
+        cos_t, sin_t = np.cos(rect.theta), np.sin(rect.theta)
+        u = cos_t * xx + sin_t * yy
+        v = -sin_t * xx + cos_t * yy
+        inside = (np.abs(u) <= rect.width / 2.0) & (np.abs(v) <= rect.height / 2.0)
+        union[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1] |= inside
+    return float((union & binary).sum()) / int(binary.sum())
+
+
 def score_grasps_reference(grasps, depth_image, model):
     """Per-grasp loop over the reference index sets: the mean-over-indices
     scores, failures demoted to total -1, stable re-rank by total."""
@@ -128,39 +159,6 @@ def random_rect(rng, span=5.0):
         width=float(rng.uniform(0.5, 4.0)),
         height=float(rng.uniform(0.5, 4.0)),
         theta=float(rng.uniform(-math.pi / 2, math.pi / 2)),
-    )
-
-
-def random_separated_grasps(rng, n, image=228, grid=3, w_range=(20.0, 36.0)):
-    """1..grid^2 grasps whose keypoints stay > 4R pixels apart pairwise."""
-    cell = image // grid
-    cells = rng.permutation(grid * grid)[:n]
-    grasps = []
-    for cellno in cells:
-        row, col = divmod(int(cellno), grid)
-        cx = col * cell + cell / 2 + float(rng.uniform(-4, 4))
-        cy = row * cell + cell / 2 + float(rng.uniform(-4, 4))
-        theta = wrap_angle(float(rng.uniform(-math.pi / 2, math.pi / 2)))
-        w = float(rng.uniform(*w_range))
-        grasps.append(Grasp(cx, cy, theta, w))
-    return grasps
-
-
-def random_bundle(rng, max_classes=5, max_dim=12):
-    """A valid random bundle (uniform heatmaps, offsets in [0,1), normal embeds)."""
-    c = int(rng.integers(1, max_classes))
-    h = int(rng.integers(2, max_dim))
-    w = int(rng.integers(2, max_dim))
-    return HeatmapBundle(
-        left=rng.random((c, h, w), dtype=np.float32),
-        right=rng.random((c, h, w), dtype=np.float32),
-        center=rng.random((h, w), dtype=np.float32),
-        offsetL=rng.random((2, h, w), dtype=np.float32),
-        offsetR=rng.random((2, h, w), dtype=np.float32),
-        embedL=rng.normal(size=(h, w)).astype(np.float32),
-        embedR=rng.normal(size=(h, w)).astype(np.float32),
-        num_classes=c,
-        downsample_ratio=int(rng.integers(1, 8)),
     )
 
 

@@ -159,8 +159,9 @@ def _score_inputs(tmp_path):
         '{"finger_length_mm": Infinity}',
         '{"pixels_per_mm": NaN}',
         '{"finger_thickness_mm": true}',
+        '{"finger_lenght_mm": 5}',
     ],
-    ids=["text", "null", "list", "infinity", "nan", "bool"],
+    ids=["text", "null", "list", "infinity", "nan", "bool", "unknown-key"],
 )
 def test_score_bad_gripper_spec_is_data_error(tmp_path, spec):
     grasps_path, depth_path = _score_inputs(tmp_path)
@@ -171,6 +172,35 @@ def test_score_bad_gripper_spec_is_data_error(tmp_path, spec):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        "[1, 2]",
+        '"str"',
+        '{"x": null, "y": 30, "theta_deg": 0, "w": 20}',
+        '{"x": 30, "y": [30], "theta_deg": 0, "w": 20}',
+        '{"x": true, "y": 30, "theta_deg": 0, "w": 20}',
+        '{"x": 30, "y": 30, "theta_deg": 0, "w": 1e400}',
+    ],
+    ids=["list-record", "string-record", "null-field", "list-field", "bool-field", "infinite-width"],
+)
+def test_bad_annotation_record_is_data_error(tmp_path, annotations, record):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(record + "\n")
+    _, depth_path = _score_inputs(tmp_path)
+    commands = [
+        ["encode", "--annotations", str(bad), "--profile", "cornell", "--image-size", "228x228",
+         "--out", str(tmp_path / "b.gktb")],
+        ["evaluate", "--pred", str(bad), "--truth", str(annotations), "--profile", "cornell"],
+        ["score", "--grasps", str(bad), "--depth", str(depth_path)],
+    ]
+    for argv in commands:
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, (argv[0], proc.stderr)
+        assert "Traceback" not in proc.stderr and "line 1" in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_score_command(tmp_path):
@@ -261,3 +291,19 @@ def test_selftest_command():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["passed"] is True
+
+
+def test_filter_jacquard_non_finite_width_is_data_error(tmp_path):
+    ann_dir = tmp_path / "ann"
+    mask_dir = tmp_path / "masks"
+    ann_dir.mkdir()
+    mask_dir.mkdir()
+    (ann_dir / "img.jsonl").write_text('{"x": 30, "y": 30, "theta_deg": 0, "w": 1e400, "h": 10}\n')
+    mask = np.zeros((1, 60, 60), np.float32)
+    mask[0, 20:40, 20:40] = 1.0
+    write_gktb(mask_dir / "img.gktb", [("mask", mask)], num_classes=0, downsample_ratio=1)
+    proc = run_cli("filter-jacquard", "--annotations", str(ann_dir), "--masks", str(mask_dir),
+                   "--out", str(tmp_path / "r.json"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+    assert proc.stdout == ""

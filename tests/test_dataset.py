@@ -1,7 +1,11 @@
 """Coverage-ratio filtering rules and RG-D whitening."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graspkit import (
     AJD_STATS,
@@ -14,6 +18,7 @@ from graspkit import (
     coverage_ratio,
     invert_rgd,
 )
+from helpers import coverage_ratio_reference
 
 
 def test_classification_rules():
@@ -81,6 +86,57 @@ def test_coverage_requires_height_and_mask():
         coverage_ratio([Grasp(5, 5, 0.0, 4)], mask)  # no h annotated
     with pytest.raises(DegenerateMaskError):
         coverage_ratio([], np.zeros((10, 10), np.float32))
+
+
+_SIZES = st.one_of(st.integers(1, 50).map(float), st.floats(0.05, 50.0))
+_THETAS = st.one_of(
+    st.sampled_from([0.0, math.pi / 2, math.pi / 4, -math.pi / 4]),
+    st.floats(-math.pi / 2, math.pi / 2, exclude_min=True),
+)
+
+
+@st.composite
+def _coverage_cases(draw):
+    """A mask (1-row and 1-column included) and grasps with integer,
+    half-integer and off-image centers, some moved past one side."""
+    shape = draw(st.one_of(
+        st.sampled_from([(1, 1), (1, 30), (30, 1)]),
+        st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    ))
+    rows, cols = shape
+    grasps = []
+    for _ in range(draw(st.integers(1, 4))):
+        theta, w, h = draw(_THETAS), draw(_SIZES), draw(_SIZES)
+        x, y = (
+            draw(st.one_of(st.integers(-20, n + 20).map(float),
+                           st.integers(-40, 2 * n + 40).map(lambda k: k / 2),
+                           st.floats(-20.0, n + 20.0)))
+            for n in (cols, rows)
+        )
+        # Move the rectangle past one side: its circumscribed circle then
+        # touches the outermost pixel centers or lies beyond them.
+        reach = math.hypot(w, h) / 2 + draw(st.sampled_from([0.0, 1e-9, 0.3, 0.5, 1.0, 7.25]))
+        side = draw(st.sampled_from([None, "left", "right", "top", "bottom"]))
+        if side == "left":
+            x = -reach
+        elif side == "right":
+            x = cols - 1 + reach
+        elif side == "top":
+            y = -reach
+        elif side == "bottom":
+            y = rows - 1 + reach
+        grasps.append(Grasp(x, y, theta, w, h=h))
+    seed = draw(st.integers(0, 2**16))
+    mask = np.random.default_rng(seed).random(shape) < draw(st.sampled_from([0.5, 1.0]))
+    mask.flat[seed % mask.size] = True
+    return grasps, mask.astype(np.float32)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_coverage_cases())
+def test_coverage_ratio_matches_rect_mask_reference(case):
+    grasps, mask = case
+    assert coverage_ratio(grasps, mask) == coverage_ratio_reference(grasps, mask)
 
 
 def test_published_stats():

@@ -15,6 +15,7 @@ from graspkit import (
     class_to_angle,
     grasp_to_pair,
     pair_to_grasp,
+    read_annotation_groups,
     read_annotations,
     rotated_iou,
     wrap_angle,
@@ -201,3 +202,42 @@ def test_annotation_file_roundtrip(tmp_path):
     for g, b in zip(grasps, back):
         assert (b.x, b.y, b.w, b.h) == (g.x, g.y, g.w, g.h)
         assert angle_diff(b.theta, g.theta) < 1e-12
+
+
+def test_grasp_rejects_infinite_size():
+    with pytest.raises(ValueError, match="width"):
+        Grasp(1.0, 2.0, 0.3, math.inf)
+    with pytest.raises(ValueError, match="height"):
+        Grasp(1.0, 2.0, 0.3, 10.0, h=math.inf)
+
+
+GOOD_RECORD = '{"x": 1.0, "y": 2.0, "theta_deg": 10.0, "w": 8.0, "h": null}'
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        ("[1, 2]", "JSON object"),
+        ('"str"', "JSON object"),
+        ("3.5", "JSON object"),
+        ('{"x": null, "y": 2, "theta_deg": 0, "w": 8}', "'x'"),
+        ('{"x": 1, "y": [2], "theta_deg": 0, "w": 8}', "'y'"),
+        ('{"x": 1, "y": 2, "theta_deg": true, "w": 8}', "'theta_deg'"),
+        ('{"x": 1, "y": 2, "theta_deg": 0, "w": "8"}', "'w'"),
+        ('{"x": 1, "y": 2, "theta_deg": 0, "w": 1e400}', "'w'"),
+        ('{"x": 1, "y": 2, "theta_deg": 0, "w": 8, "h": false}', "'h'"),
+        ('{"x": 1, "y": 2, "theta_deg": 0, "w": 8, "h": NaN}', "'h'"),
+        ('{"x": 1' + "0" * 400 + ', "y": 2, "theta_deg": 0, "w": 8}', "'x'"),
+        ('{"y": 2, "theta_deg": 0, "w": 8}', "'x'"),
+        ('{"x": 1, "y": 2, "theta_deg": 0, "w": -8}', "width"),
+    ],
+    ids=["list", "string", "number", "null", "list-field", "bool", "text", "inf", "bool-h",
+         "nan-h", "int-beyond-float", "missing", "negative-width"],
+)
+def test_annotation_readers_reject_bad_records(tmp_path, record, field):
+    path = tmp_path / "ann.jsonl"
+    path.write_text(GOOD_RECORD + "\n\n" + record + "\n")
+    for reader in (read_annotations, read_annotation_groups):
+        with pytest.raises(ValueError, match="line 3") as info:
+            reader(path)
+        assert field in str(info.value)
