@@ -33,7 +33,12 @@ import numpy as np
 MAGIC = b"GKTB"
 VERSION = 1
 
-CANONICAL_PLANES = ("left", "right", "center", "offsetL", "offsetR", "embedL", "embedR")
+# The bundle layout, in canonical order: plane name -> stack count, with
+# None standing for num_classes.  A count-1 plane is held as (H, W).
+_PLANE_COUNTS = {"left": None, "right": None, "center": 1, "offsetL": 2, "offsetR": 2,
+                 "embedL": 1, "embedR": 1}
+
+CANONICAL_PLANES = tuple(_PLANE_COUNTS)
 
 
 class GKTBError(ValueError):
@@ -62,11 +67,9 @@ class ValueRangeError(GKTBError):
 
 def _plane32(value, name):
     arr = np.asarray(value, dtype=np.float32)
-    if arr.ndim == 2:
-        return arr
-    if arr.ndim == 3:
-        return arr
-    raise DimensionError(f"plane {name}: expected 2-D or 3-D array, got ndim={arr.ndim}")
+    if arr.ndim not in (2, 3):
+        raise DimensionError(f"plane {name}: expected 2-D or 3-D array, got ndim={arr.ndim}")
+    return arr
 
 
 @dataclass
@@ -90,7 +93,7 @@ class HeatmapBundle:
     downsample_ratio: int
 
     def __post_init__(self):
-        for name in ("left", "right", "center", "offsetL", "offsetR", "embedL", "embedR"):
+        for name in _PLANE_COUNTS:
             setattr(self, name, _plane32(getattr(self, name), name))
         self.num_classes = int(self.num_classes)
         self.downsample_ratio = int(self.downsample_ratio)
@@ -106,13 +109,8 @@ class HeatmapBundle:
     def planes(self):
         """Planes as (name, array) pairs in canonical order, 3-D views."""
         return [
-            ("left", self.left),
-            ("right", self.right),
-            ("center", self.center[None]),
-            ("offsetL", self.offsetL),
-            ("offsetR", self.offsetR),
-            ("embedL", self.embedL[None]),
-            ("embedR", self.embedR[None]),
+            (name, getattr(self, name)[None] if count == 1 else getattr(self, name))
+            for name, count in _PLANE_COUNTS.items()
         ]
 
     def validate(self):
@@ -122,19 +120,11 @@ class HeatmapBundle:
         if self.downsample_ratio < 1:
             raise DimensionError(f"downsample_ratio must be >= 1, got {self.downsample_ratio}")
         h, w = self.center.shape
-        expected = {
-            "left": (self.num_classes, h, w),
-            "right": (self.num_classes, h, w),
-            "center": (1, h, w),
-            "offsetL": (2, h, w),
-            "offsetR": (2, h, w),
-            "embedL": (1, h, w),
-            "embedR": (1, h, w),
-        }
-        for name, arr in self.planes():
-            if arr.shape != expected[name]:
+        for (name, arr), count in zip(self.planes(), _PLANE_COUNTS.values()):
+            expected = (count or self.num_classes, h, w)
+            if arr.shape != expected:
                 raise DimensionError(
-                    f"plane {name}: shape {arr.shape} does not match expected {expected[name]}"
+                    f"plane {name}: shape {arr.shape} does not match expected {expected}"
                 )
             if not np.isfinite(arr).all():
                 raise PayloadError(f"plane {name}: non-finite value in payload")
@@ -312,26 +302,17 @@ def read_bundle(src):
         if name in by_name:
             raise HeaderError(f"duplicate plane {name!r}")
         by_name[name] = arr
-    missing = [n for n in CANONICAL_PLANES if n not in by_name]
-    extra = [n for n in by_name if n not in CANONICAL_PLANES]
+    missing = [n for n in _PLANE_COUNTS if n not in by_name]
+    extra = [n for n in by_name if n not in _PLANE_COUNTS]
     if missing or extra:
         raise HeaderError(f"bundle plane set mismatch: missing={missing}, unexpected={extra}")
     num_classes = int(header["num_classes"])
-    counts = {"left": num_classes, "right": num_classes, "center": 1,
-              "offsetL": 2, "offsetR": 2, "embedL": 1, "embedR": 1}
-    for name, want in counts.items():
-        got = by_name[name].shape[0]
+    for name, count in _PLANE_COUNTS.items():
+        want, got = count or num_classes, by_name[name].shape[0]
         if got != want:
             raise DimensionError(f"plane {name}: expected {want} plane(s), header declares {got}")
-    bundle = HeatmapBundle(
-        left=by_name["left"],
-        right=by_name["right"],
-        center=by_name["center"][0],
-        offsetL=by_name["offsetL"],
-        offsetR=by_name["offsetR"],
-        embedL=by_name["embedL"][0],
-        embedR=by_name["embedR"][0],
-        num_classes=num_classes,
-        downsample_ratio=int(header["downsample_ratio"]),
-    )
+        if count == 1:
+            by_name[name] = by_name[name][0]
+    bundle = HeatmapBundle(**by_name, num_classes=num_classes,
+                           downsample_ratio=int(header["downsample_ratio"]))
     return bundle.validate()

@@ -26,7 +26,7 @@ from .geometry import grasp_to_record, read_annotation_groups, read_annotations
 from .grouper import group
 from .binpick import make_scene, oracle_detector, pipeline_detector, run_bin_picking
 from .dataset import classify_annotation, coverage_ratio
-from .profiles import get_profile
+from .profiles import PROFILES, get_profile
 
 
 class _UsageError(Exception):
@@ -230,7 +230,7 @@ def build_parser():
 
     p = sub.add_parser("encode", help="render annotations into an ideal GKTB bundle")
     p.add_argument("--annotations", required=True)
-    p.add_argument("--profile", required=True, choices=["cornell", "ajd"])
+    p.add_argument("--profile", required=True, choices=list(PROFILES))
     p.add_argument("--image-size", required=True, help="input image dims as HxW, e.g. 256x256")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -238,13 +238,13 @@ def build_parser():
 
     p = sub.add_parser("decode", help="extract top-k keypoints from a bundle")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--profile", required=True, choices=["cornell", "ajd"])
+    p.add_argument("--profile", required=True, choices=list(PROFILES))
     p.add_argument("--k", type=int, default=100)
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("group", help="group a bundle into ranked grasps")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--profile", required=True, choices=["cornell", "ajd"])
+    p.add_argument("--profile", required=True, choices=list(PROFILES))
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--top", type=int, default=None)
     p.add_argument("--rho-embed", type=float, default=None)
@@ -256,7 +256,7 @@ def build_parser():
     p = sub.add_parser("evaluate", help="rectangle-metric evaluation of predictions")
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--profile", required=True, choices=["cornell", "ajd"])
+    p.add_argument("--profile", required=True, choices=list(PROFILES))
     p.add_argument("--policy", default="top1", choices=["top1", "topn"])
     p.set_defaults(func=_cmd_evaluate)
 
@@ -272,7 +272,7 @@ def build_parser():
     p.add_argument("--objects", type=int, default=5)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--detector", default="oracle", choices=["oracle", "pipeline"])
-    p.add_argument("--profile", default="cornell", choices=["cornell", "ajd"])
+    p.add_argument("--profile", default="cornell", choices=list(PROFILES))
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("filter-jacquard", help="coverage-ratio annotation filtering")

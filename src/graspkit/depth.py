@@ -49,8 +49,10 @@ class DepthImage:
             )
         if self.depth.ndim != 2:
             raise ValueError(f"depth image must be 2-D, got ndim={self.depth.ndim}")
-        if not (self.depth > 0).all() or not (self.surface > 0).all():
-            raise ValueError("depths must be strictly positive millimeters")
+        # min/max also fail on NaN; an empty image fails on its size
+        for a in (self.depth, self.surface):
+            if not (a.size and 0 < a.min() and a.max() < math.inf):
+                raise ValueError("depths must be finite, strictly positive millimeters")
 
     @classmethod
     def flat_surface(cls, depth, surface_mm):
@@ -166,24 +168,26 @@ def gripper_regions(g, model, shape):
     return (fr + rows.start, fc + cols.start), (ir + rows.start, ic + cols.start)
 
 
+def _fraction(hits, n, region):
+    """Share of a region's ``n`` pixels that are ``hits``; an exact count
+    divided once.  A region of zero pixels raises DegenerateRegionError."""
+    if n == 0:
+        raise DegenerateRegionError(f"{region} region clipped to zero pixels")
+    return float(np.count_nonzero(hits) / n)
+
+
 def collision_score(g, depth_image, model, regions=None):
     """Fraction of finger pixels strictly deeper than the grasp center."""
-    fingers, _ = regions if regions is not None else gripper_regions(g, model, depth_image.shape)
-    fr, fc = fingers
-    if fr.size == 0:
-        raise DegenerateRegionError("finger region clipped to zero pixels")
+    (fr, fc), _ = regions if regions is not None else gripper_regions(g, model, depth_image.shape)
     d_center = depth_image.depth[_center_pixel(g, depth_image.shape)]
-    return float(np.mean(depth_image.depth[fr, fc] > d_center))
+    return _fraction(depth_image.depth[fr, fc] > d_center, fr.size, "finger")
 
 
 def occupancy_score(g, depth_image, model, regions=None):
     """Fraction of interior pixels strictly above the surface at the center."""
-    _, interior = regions if regions is not None else gripper_regions(g, model, depth_image.shape)
-    ir, ic = interior
-    if ir.size == 0:
-        raise DegenerateRegionError("interior region clipped to zero pixels")
+    _, (ir, ic) = regions if regions is not None else gripper_regions(g, model, depth_image.shape)
     d_surface = depth_image.surface[_center_pixel(g, depth_image.shape)]
-    return float(np.mean(depth_image.depth[ir, ic] < d_surface))
+    return _fraction(depth_image.depth[ir, ic] < d_surface, ir.size, "interior")
 
 
 def height_score(g, depth_image):
@@ -199,22 +203,16 @@ def height_score(g, depth_image):
 def score_grasp(g, depth_image, model):
     """All three scores for one grasp; raises on capacity/degenerate cases.
 
-    Counts pixels on the masks of one rasterization; each fraction is an
-    exact count divided once, equal to the mean over the index sets that
-    ``collision_score`` and ``occupancy_score`` take.
+    Counts pixels on the masks of one rasterization, with the same
+    fraction rule as ``collision_score`` and ``occupancy_score``; the finger
+    region is checked first.
     """
     window, finger, interior = _gripper_masks(g, model, depth_image.shape)
-    n_finger = np.count_nonzero(finger)
-    if n_finger == 0:
-        raise DegenerateRegionError("finger region clipped to zero pixels")
-    n_interior = np.count_nonzero(interior)
-    if n_interior == 0:
-        raise DegenerateRegionError("interior region clipped to zero pixels")
     pc = _center_pixel(g, depth_image.shape)
     d = depth_image.depth[window]
     return GraspScore.compute(
-        float(np.count_nonzero(finger & (d > depth_image.depth[pc])) / n_finger),
-        float(np.count_nonzero(interior & (d < depth_image.surface[pc])) / n_interior),
+        _fraction(finger & (d > depth_image.depth[pc]), np.count_nonzero(finger), "finger"),
+        _fraction(interior & (d < depth_image.surface[pc]), np.count_nonzero(interior), "interior"),
         height_score(g, depth_image),
     )
 

@@ -226,7 +226,10 @@ def _rect_frame(center, theta, half_u, half_v, shape):
 def _shoelace(poly):
     x = poly[:, 0]
     y = poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    # the values of np.roll(v, -1), without its overhead
+    x_next = np.concatenate((x[1:], x[:1]))
+    y_next = np.concatenate((y[1:], y[:1]))
+    return 0.5 * abs(float(np.dot(x, y_next) - np.dot(y, x_next)))
 
 
 def _clip_convex(subject, clip):
@@ -263,19 +266,20 @@ def rotated_iou(a, b):
 
     Exact convex polygon clipping plus shoelace areas; 1.0 for identical
     rectangles, 0.0 when disjoint.  Arguments are ordered canonically
-    before clipping so the result is exactly symmetric.
+    before clipping so the result is exactly symmetric.  Raises
+    ``ValueError`` when an area overflows the float range.
     """
     if (b.center, b.width, b.height, b.theta) < (a.center, a.width, a.height, a.theta):
         a, b = b, a
     pa = a.corners()
     pb = b.corners()
     inter_poly = _clip_convex(pa, pb)
-    if len(inter_poly) < 3:
-        return 0.0
-    inter = _shoelace(np.asarray(inter_poly))
+    inter = _shoelace(np.asarray(inter_poly)) if len(inter_poly) >= 3 else 0.0
     area_a = _shoelace(pa)
     area_b = _shoelace(pb)
     union = area_a + area_b - inter
+    if not math.isfinite(union):
+        raise ValueError(f"rectangle areas overflow: {area_a}, {area_b}, intersection {inter}")
     if union <= 0.0:
         return 0.0
     return min(1.0, inter / union)

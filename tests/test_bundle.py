@@ -1,5 +1,6 @@
 """GKTB format: round-trips and rejection of every invariant violation."""
 
+import hashlib
 import io
 import json
 import struct
@@ -252,3 +253,20 @@ def test_planes_larger_than_one_read_chunk_roundtrip(tmp_path):
     assert np.array_equal(planes[0][1], depth)
     with pytest.raises(DimensionError, match="truncated"):
         read_gktb(io.BytesIO(path.read_bytes()[:-1]))
+
+
+def test_write_bundle_bytes_are_pinned():
+    # header layout, plane order and byte order of one fixed bundle (4 classes, 8x7)
+    blob = serialized(random_bundle(np.random.default_rng(0)))
+    want = "f2dba57a5999ec00f7e19cec59a6ac88df592de7394a3af0cf0eca998de3c7bb"
+    assert hashlib.sha256(blob).hexdigest() == want
+
+
+def test_header_center_count_two_rejected():
+    b = random_bundle(np.random.default_rng(13))
+    planes = [(n, np.concatenate([arr, arr]) if n == "center" else arr) for n, arr in b.planes()]
+    buf = io.BytesIO()
+    write_gktb(buf, planes, num_classes=b.num_classes, downsample_ratio=b.downsample_ratio)
+    buf.seek(0)
+    with pytest.raises(DimensionError, match="plane center: expected 1 plane"):
+        read_bundle(buf)

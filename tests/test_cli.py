@@ -307,3 +307,29 @@ def test_filter_jacquard_non_finite_width_is_data_error(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
     assert proc.stdout == ""
+
+
+def test_evaluate_overflowing_prediction_is_data_error(tmp_path):
+    pred_path, truth_path = tmp_path / "pred.jsonl", tmp_path / "truth.jsonl"
+    write_annotations([Grasp(50.0, 50.0, 0.0, 1e308)], pred_path)
+    write_annotations([Grasp(50.0, 50.0, 0.0, 20.0, 10.0)], truth_path)
+    proc = run_cli("evaluate", "--pred", str(pred_path), "--truth", str(truth_path),
+                   "--profile", "cornell")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "areas overflow" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("surface", ["inf", "1e39", "nan"])
+def test_score_non_finite_surface_depth_is_data_error(tmp_path, surface):
+    # 1e39 is a finite double that overflows to inf in the float32 surface map
+    depth_path = tmp_path / "d.gktb"
+    write_depth_gktb(DepthImage.flat_surface(np.full((60, 60), 1000.0, np.float32), 1000.0), depth_path,
+                     include_surface=False)
+    grasps_path = tmp_path / "g.jsonl"
+    write_annotations([Grasp(30.0, 30.0, 0.0, 20.0)], grasps_path)
+    proc = run_cli("score", "--grasps", str(grasps_path), "--depth", str(depth_path),
+                   "--surface-depth", surface)
+    assert proc.returncode == 2, proc.stdout
+    assert "Traceback" not in proc.stderr and "finite" in proc.stderr
+    assert proc.stdout == ""

@@ -330,3 +330,40 @@ def test_huge_model_sizes_clip_to_the_image():
 def test_gripper_model_rejects_non_finite_or_non_numeric_fields(field, value):
     with pytest.raises(ValueError, match=field):
         GripperModel2D(**{field: value})
+
+
+def test_fraction_scores_equal_the_mean_over_random_index_sets():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        h, w = (int(n) for n in rng.integers(1, 30, size=2))
+        # few distinct levels, so the strict steps meet ties
+        depth = rng.choice(np.array([990.0, 995.0, 1000.0], np.float32), size=(h, w))
+        scene = DepthImage(depth, rng.choice(np.array([995.0, 1000.0], np.float32), size=(h, w)))
+        row, col = int(rng.integers(0, h)), int(rng.integers(0, w))
+        g = Grasp(float(col), float(row), 0.0, 10.0)
+
+        def index_set():
+            n = int(rng.integers(1, 2 * h * w + 1))  # repeats allowed
+            return rng.integers(0, h, n), rng.integers(0, w, n)
+
+        fingers, interior = index_set(), index_set()
+        assert collision_score(g, scene, MODEL, (fingers, interior)) == float(
+            np.mean(scene.depth[fingers] > scene.depth[row, col]))
+        assert occupancy_score(g, scene, MODEL, (fingers, interior)) == float(
+            np.mean(scene.depth[interior] < scene.surface[row, col]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 1e39, 0.0])
+def test_depth_image_requires_finite_positive_values(bad):
+    good = np.full((4, 5), 1000.0)
+    spoiled = good.copy()  # float64: 1e39 overflows only in the float32 cast
+    spoiled[2, 3] = bad
+    for depth, surface in ((spoiled, good), (good, spoiled)):
+        with pytest.raises(ValueError, match="finite, strictly positive"):
+            DepthImage(depth, surface)
+
+
+def test_empty_depth_image_rejected():
+    with pytest.raises(ValueError, match="finite, strictly positive"):
+        DepthImage(np.zeros((0, 5), np.float32), np.zeros((0, 5), np.float32))

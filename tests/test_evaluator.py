@@ -250,3 +250,14 @@ def test_circle_pre_rejection_implies_zero_iou(center, size_a, size_b, thetas, d
     if _circles_apart([a], [b])[0, 0]:
         assert rotated_iou(a, b) == 0.0
         assert rotated_iou(b, a) == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_prediction_with_overflowing_area_raises():
+    truth = Grasp(50.0, 50.0, 0.0, 20.0, 10.0)
+    pred = Grasp(50.0, 50.0, 0.0, 1e308)  # finite width, infinite rectangle area
+    with pytest.raises(ValueError, match="areas overflow"):
+        is_match(pred, truth, CORNELL_CRIT)
+    for policy in ("top1", "topn"):
+        with pytest.raises(ValueError, match="areas overflow"):
+            evaluate_dataset({"a": [pred]}, {"a": [truth]}, CORNELL_CRIT, policy=policy)

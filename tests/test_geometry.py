@@ -241,3 +241,14 @@ def test_annotation_readers_reject_bad_records(tmp_path, record, field):
         with pytest.raises(ValueError, match="line 3") as info:
             reader(path)
         assert field in str(info.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_iou_rejects_areas_beyond_the_float_range():
+    truth = OrientedRect((50.0, 50.0), 20.0, 10.0, 0.0)
+    huge = OrientedRect((50.0, 50.0), 1e308, 23.33, 0.0)  # shoelace area overflows
+    for a, b in ((huge, truth), (truth, huge)):
+        with pytest.raises(ValueError, match="areas overflow"):
+            rotated_iou(a, b)
+    big = OrientedRect((50.0, 50.0), 1e200, 23.33, 0.0)
+    assert rotated_iou(big, truth) == pytest.approx(200.0 / (1e200 * 23.33), rel=1e-12)  # 8.57e-200

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graspkit import (
     AJD,
@@ -16,6 +18,7 @@ from graspkit import (
     angle_diff,
     class_to_angle,
     decode_bundle,
+    encode_targets,
     extract_center_scores,
     filter_pairs,
     group,
@@ -270,3 +273,32 @@ def test_array_grouping_matches_per_candidate_reference(profile):
         kept = orientation_filter(cands, th.tau_orient, bundle.num_classes)
         assert kept == _orientation_filter_reference(cands, th.tau_orient, bundle.num_classes)
         assert 0 < len(kept) < len(cands)
+
+
+_annotation_sets = st.lists(
+    st.builds(
+        Grasp,
+        st.floats(30.0, 198.0),
+        st.floats(30.0, 198.0),
+        st.floats(-math.pi / 2, math.pi / 2, exclude_min=True),
+        st.floats(8.0, 50.0),
+    ),
+    min_size=1,
+    max_size=9,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([CORNELL, AJD]), _annotation_sets, st.randoms(use_true_random=False),
+       st.integers(0, 99))
+def test_annotation_order_does_not_change_grouping(profile, truths, rnd, seed):
+    # metamorphic: when every grasp keeps its own keypoint pixels, the grouped
+    # output depends on the set of annotations, not on their order in the file.
+    # Offsets and embeddings are stored per pixel, not per class, so two grasps
+    # of different classes on one pixel would overwrite each other's values.
+    config = EncoderConfig(228, 228, profile.num_classes, profile.downsample_ratio)
+    index = encode_targets(truths, config)[1]
+    assume(len({e.left_pixel for e in index}) == len({e.right_pixel for e in index}) == len(truths))
+    shuffled = rnd.sample(truths, len(truths))
+    want = group(ideal_bundle(truths, config, seed=seed), profile.thresholds)
+    assert group(ideal_bundle(shuffled, config, seed=seed), profile.thresholds) == want
