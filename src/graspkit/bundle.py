@@ -154,8 +154,9 @@ def write_gktb(dest, planes, *, num_classes, downsample_ratio):
     """Write named float32 plane stacks as a GKTB stream.
 
     ``planes`` is an ordered list of (name, array) where each array has
-    shape (count, H, W).  Returns the number of bytes written.  ``dest``
-    may be a path or a binary file object.
+    shape (count, H, W), written in list order; a repeated name raises
+    HeaderError, an array that is not 3-D DimensionError.  Returns the
+    number of bytes written.  ``dest`` may be a path or a binary file object.
     """
     if hasattr(dest, "write"):
         return _write_stream(dest, planes, num_classes, downsample_ratio)
@@ -164,9 +165,15 @@ def write_gktb(dest, planes, *, num_classes, downsample_ratio):
 
 
 def _write_stream(fh, planes, num_classes, downsample_ratio):
-    shapes = {name: np.asarray(arr, dtype=np.float32) for name, arr in planes}
-    heights = {a.shape[1] for a in shapes.values()}
-    widths = {a.shape[2] for a in shapes.values()}
+    arrays = {}
+    for name, arr in planes:
+        if name in arrays:
+            raise HeaderError(f"duplicate plane {name!r}")
+        arrays[name] = arr = np.asarray(arr, dtype=np.float32)
+        if arr.ndim != 3:
+            raise DimensionError(f"plane {name}: expected a 3-D array, got ndim={arr.ndim}")
+    heights = {a.shape[1] for a in arrays.values()}
+    widths = {a.shape[2] for a in arrays.values()}
     if len(heights) != 1 or len(widths) != 1:
         raise DimensionError(f"planes disagree on grid size: heights={heights}, widths={widths}")
     height, width = heights.pop(), widths.pop()
@@ -175,16 +182,12 @@ def _write_stream(fh, planes, num_classes, downsample_ratio):
         "height": int(height),
         "width": int(width),
         "downsample_ratio": int(downsample_ratio),
-        "planes": [{"name": name, "count": int(shapes[name].shape[0])} for name, _ in planes],
+        "planes": [{"name": name, "count": int(a.shape[0])} for name, a in arrays.items()],
     }
     blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    written = fh.write(MAGIC)
-    written += fh.write(struct.pack("<B", VERSION))
-    written += fh.write(struct.pack("<I", len(blob)))
-    written += fh.write(blob)
-    for name, _ in planes:
-        data = np.ascontiguousarray(shapes[name], dtype="<f4")
-        written += fh.write(data.tobytes())
+    written = fh.write(MAGIC + struct.pack("<BI", VERSION, len(blob)) + blob)
+    for a in arrays.values():
+        written += fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
     return written
 
 
@@ -193,7 +196,8 @@ def read_gktb(src):
 
     Arrays come back float32 with shape (count, H, W).  Raises BadMagicError,
     HeaderError, DimensionError or PayloadError on malformed input.  Any
-    plane holding NaN or infinities is rejected.
+    plane holding NaN or infinities is rejected, and so is a header that
+    names a plane twice or nests too deeply to parse (HeaderError).
     """
     if hasattr(src, "read"):
         return _read_stream(src)
@@ -244,7 +248,7 @@ def _read_stream(fh):
         raise HeaderError("stream ends inside the JSON header")
     try:
         header = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise HeaderError(f"header is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise HeaderError(f"header must be a JSON object, got {type(header).__name__}")
@@ -261,11 +265,13 @@ def _read_stream(fh):
     if height < 1 or width < 1:
         raise HeaderError(f"invalid grid size {height}x{width}")
     plane_size = height * width
-    planes = []
+    planes = {}
     for entry in header["planes"]:
         if not isinstance(entry, dict) or "name" not in entry or "count" not in entry:
             raise HeaderError(f"malformed plane entry {entry!r}")
         name, count = str(entry["name"]), _require_int(entry["count"], "count")
+        if name in planes:
+            raise HeaderError(f"duplicate plane {name!r}")
         if count < 1:
             raise HeaderError(f"plane {name}: count must be >= 1, got {count}")
         nbytes = 4 * count * plane_size
@@ -277,10 +283,10 @@ def _read_stream(fh):
         arr = np.frombuffer(payload, dtype="<f4").reshape(count, height, width).copy()
         if not np.isfinite(arr).all():
             raise PayloadError(f"plane {name}: non-finite value in payload")
-        planes.append((name, arr))
+        planes[name] = arr
     if fh.read(1):
         raise DimensionError("trailing data after declared payload")
-    return header, planes
+    return header, list(planes.items())
 
 
 def write_bundle(bundle, dest):
@@ -297,11 +303,7 @@ def write_bundle(bundle, dest):
 def read_bundle(src):
     """Read and validate a HeatmapBundle from a GKTB stream."""
     header, planes = read_gktb(src)
-    by_name = {}
-    for name, arr in planes:
-        if name in by_name:
-            raise HeaderError(f"duplicate plane {name!r}")
-        by_name[name] = arr
+    by_name = dict(planes)
     missing = [n for n in _PLANE_COUNTS if n not in by_name]
     extra = [n for n in by_name if n not in _PLANE_COUNTS]
     if missing or extra:

@@ -17,78 +17,64 @@ import numpy as np
 from . import losses
 from .bundle import HeatmapBundle, read_bundle, write_bundle
 from .encoder import EncoderConfig, ideal_bundle
-from .geometry import Grasp, OrientedRect, rotated_iou, wrap_angle
+from .geometry import Grasp, rect_from_grasp, rotated_iou, wrap_angle
 from .grouper import group
 from .profiles import get_profile
 
 
-def _random_smooth_detection_point(rng, shape):
-    truth = rng.uniform(0.0, 0.9, size=shape)
-    peaks = rng.random(size=shape) < 0.1
-    truth[peaks] = 1.0
-    pred = rng.uniform(0.05, 0.95, size=shape)
-    return pred, truth
+def _detection_sample(rng, step):
+    truth = rng.uniform(0.0, 0.9, size=(2, 4, 4))
+    truth[rng.random(size=(2, 4, 4)) < 0.1] = 1.0
+    pred = rng.uniform(0.05, 0.95, size=(2, 4, 4))
+    n = int(rng.integers(1, 5))
+    return (lambda x: losses.detection_loss(x, truth, n)), pred
+
+
+def _detection_center_sample(rng, step):
+    truth = rng.uniform(0.0, 0.9, size=(5, 5))
+    truth[rng.integers(0, 5), rng.integers(0, 5)] = 1.0
+    pred = rng.uniform(0.05, 0.95, size=(5, 5))
+    return (lambda x: losses.detection_loss(x, truth, 1)), pred
+
+
+def _offset_sample(rng, step):
+    truth = rng.random((6, 2))
+    # stay >= 10*step away from the smooth-L1 kink at |d| = 1
+    pred = truth + rng.uniform(-0.9, 0.9, size=(6, 2))
+    return (lambda x: losses.offset_loss(x, truth)), pred
+
+
+def _pull_sample(rng, step):
+    return losses.pull_loss, rng.normal(0.0, 2.0, size=(5, 2))
+
+
+def _push_sample(rng, step):
+    while True:
+        pairs = rng.normal(0.0, 2.0, size=(4, 2))
+        means = pairs.mean(axis=1)
+        gaps = np.abs(means[:, None] - means[None, :])[~np.eye(4, dtype=bool)]
+        # keep clear of the hinge kinks at gap 0 and gap 1
+        if not (np.any(np.abs(gaps - 1.0) < 10 * step) or np.any(gaps < 10 * step)):
+            return losses.push_loss, pairs
+
+
+# Each sampler draws one smooth point from ``rng`` and returns ``(fn, point)``.
+# They share one generator, so their order is part of the battery's output.
+_SAMPLERS = {"detection": _detection_sample, "detection_center": _detection_center_sample,
+             "offset": _offset_sample, "pull": _pull_sample, "push": _push_sample}
 
 
 def run_gradcheck_battery(seed=0, points=100, step=1e-5, tolerance=1e-4):
     """Finite-difference validation of all five losses at random smooth points."""
     rng = np.random.default_rng(seed)
     results = {}
-
-    worst = 0.0
-    for _ in range(points):
-        pred, truth = _random_smooth_detection_point(rng, (2, 4, 4))
-        n = int(rng.integers(1, 5))
-        report = losses.gradient_check(
-            lambda x: losses.detection_loss(x, truth, n), pred, step=step, rel_tol=tolerance
-        )
-        worst = max(worst, report.max_error)
-    results["detection"] = {"max_error": worst, "passed": worst < tolerance}
-
-    worst = 0.0
-    for _ in range(points):
-        center_truth = rng.uniform(0.0, 0.9, size=(5, 5))
-        center_truth[rng.integers(0, 5), rng.integers(0, 5)] = 1.0
-        pred = rng.uniform(0.05, 0.95, size=(5, 5))
-        report = losses.gradient_check(
-            lambda x: losses.detection_loss(x, center_truth, 1), pred, step=step, rel_tol=tolerance
-        )
-        worst = max(worst, report.max_error)
-    results["detection_center"] = {"max_error": worst, "passed": worst < tolerance}
-
-    worst = 0.0
-    for _ in range(points):
-        truth_off = rng.random((6, 2))
-        # stay >= 10*step away from the smooth-L1 kink at |d| = 1
-        delta = rng.uniform(-0.9, 0.9, size=(6, 2))
-        pred_off = truth_off + delta
-        report = losses.gradient_check(
-            lambda x: losses.offset_loss(x, truth_off), pred_off, step=step, rel_tol=tolerance
-        )
-        worst = max(worst, report.max_error)
-    results["offset"] = {"max_error": worst, "passed": worst < tolerance}
-
-    worst = 0.0
-    for _ in range(points):
-        pairs = rng.normal(0.0, 2.0, size=(5, 2))
-        report = losses.gradient_check(losses.pull_loss, pairs, step=step, rel_tol=tolerance)
-        worst = max(worst, report.max_error)
-    results["pull"] = {"max_error": worst, "passed": worst < tolerance}
-
-    worst = 0.0
-    kept = 0
-    while kept < points:
-        pairs = rng.normal(0.0, 2.0, size=(4, 2))
-        means = pairs.mean(axis=1)
-        gaps = np.abs(means[:, None] - means[None, :])[~np.eye(4, dtype=bool)]
-        # keep clear of the hinge kinks at gap 0 and gap 1
-        if np.any(np.abs(gaps - 1.0) < 10 * step) or np.any(gaps < 10 * step):
-            continue
-        kept += 1
-        report = losses.gradient_check(losses.push_loss, pairs, step=step, rel_tol=tolerance)
-        worst = max(worst, report.max_error)
-    results["push"] = {"max_error": worst, "passed": worst < tolerance}
-
+    for name, sample in _SAMPLERS.items():
+        worst = 0.0
+        for _ in range(points):
+            fn, point = sample(rng, step)
+            report = losses.gradient_check(fn, point, step=step, rel_tol=tolerance)
+            worst = max(worst, report.max_error)
+        results[name] = {"max_error": worst, "passed": worst < tolerance}
     passed = all(entry["passed"] for entry in results.values())
     return {"seed": seed, "points": points, "step": step, "tolerance": tolerance,
             "losses": results, "passed": passed}
@@ -109,12 +95,8 @@ def run_selftest(seed=0):
         found = group(bundle, profile.thresholds)
         expected += len(grasps)
         for g in grasps:
-            rect = OrientedRect((g.x, g.y), g.w, 20.0, g.theta)
-            for f in found:
-                cand = OrientedRect((f.x, f.y), f.w, 20.0, f.theta)
-                if rotated_iou(rect, cand) > 0.9:
-                    recovered += 1
-                    break
+            rect = rect_from_grasp(g, 20.0)
+            recovered += any(rotated_iou(rect, rect_from_grasp(f, 20.0)) > 0.9 for f in found)
     checks.append(
         {"name": "pipeline-round-trip", "passed": recovered == expected,
          "detail": f"{recovered}/{expected} grasps recovered"}

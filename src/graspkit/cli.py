@@ -151,7 +151,10 @@ def _cmd_score(args):
     if not grasps:
         raise ValueError(f"no grasps in {args.grasps}")
     depth_image = read_depth_gktb(args.depth, surface_mm=args.surface_depth)
-    spec = json.loads(Path(args.gripper).read_text()) if args.gripper else {}
+    try:
+        spec = json.loads(Path(args.gripper).read_text()) if args.gripper else {}
+    except RecursionError as exc:
+        raise ValueError(f"gripper spec is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):
         raise ValueError(f"gripper spec must be a JSON object, got {type(spec).__name__}")
     unknown = sorted(set(spec) - {f.name for f in dataclasses.fields(GripperModel2D)})

@@ -5,8 +5,9 @@ floor-quantized heatmap pixel) onto the left/right plane of its orientation
 class and onto the single center plane; overlapping Gaussians combine by
 elementwise max.  Sub-pixel offsets are stored densely at the keypoint
 pixels.  Dense annotations are deduplicated first-wins: a grasp whose left
-or right heatmap pixel collides with an earlier grasp's same-role pixel on
-the same class plane is dropped entirely.
+or right heatmap pixel collides with an earlier grasp's same-role pixel,
+on any class plane, is dropped entirely, because offsets and embeddings
+are stored per pixel, not per class.
 
 :func:`ideal_bundle` additionally fills the embedding planes so that the
 bundle decodes back to its annotations, which makes it the oracle for
@@ -115,12 +116,10 @@ def encode_targets(grasps, config):
         (lx, ly), (rx, ry) = pair.left, pair.right
         lrow, lcol = int(ly // r), int(lx // r)
         rrow, rcol = int(ry // r), int(rx // r)
-        lkey = (cls, lrow, lcol)
-        rkey = (cls, rrow, rcol)
-        if lkey in seen_left or rkey in seen_right:
+        if (lrow, lcol) in seen_left or (rrow, rcol) in seen_right:
             continue  # first grasp at this pixel wins
-        seen_left.add(lkey)
-        seen_right.add(rkey)
+        seen_left.add((lrow, lcol))
+        seen_right.add((rrow, rcol))
 
         sigma = config.gaussian_sigma
         if sigma is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,12 +48,7 @@ class ImageResult:
     best_angle_diff: float | None
 
     def to_dict(self):
-        return {
-            "image_id": self.image_id,
-            "matched": self.matched,
-            "best_jaccard": self.best_jaccard,
-            "best_angle_diff": self.best_angle_diff,
-        }
+        return asdict(self)
 
 
 @dataclass

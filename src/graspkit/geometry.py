@@ -81,8 +81,6 @@ class KeypointPair:
         """Build a canonical pair from two points in either order."""
         p = (float(p[0]), float(p[1]))
         q = (float(q[0]), float(q[1]))
-        if p == q:
-            raise DegenerateGraspError(f"coincident keypoints {p}")
         return cls(min(p, q), max(p, q))
 
 
@@ -271,12 +269,14 @@ def rotated_iou(a, b):
     """
     if (b.center, b.width, b.height, b.theta) < (a.center, a.width, a.height, a.theta):
         a, b = b, a
-    pa = a.corners()
-    pb = b.corners()
-    inter_poly = _clip_convex(pa, pb)
-    inter = _shoelace(np.asarray(inter_poly)) if len(inter_poly) >= 3 else 0.0
-    area_a = _shoelace(pa)
-    area_b = _shoelace(pb)
+    # an overflow shows as a non-finite union below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        pa = a.corners()
+        pb = b.corners()
+        inter_poly = _clip_convex(pa, pb)
+        inter = _shoelace(np.asarray(inter_poly)) if len(inter_poly) >= 3 else 0.0
+        area_a = _shoelace(pa)
+        area_b = _shoelace(pb)
     union = area_a + area_b - inter
     if not math.isfinite(union):
         raise ValueError(f"rectangle areas overflow: {area_a}, {area_b}, intersection {inter}")
@@ -311,7 +311,7 @@ def _read_records(source):
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"line {lineno}: invalid JSON: {exc}") from exc
         try:
             grasp = grasp_from_record(rec)

@@ -18,7 +18,7 @@ to (eps, 1-eps) with eps = 1e-12 before the logs so the loss stays finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -182,15 +182,7 @@ class GradCheckReport:
     passed: bool
 
     def to_dict(self):
-        return {
-            "max_error": self.max_error,
-            "worst_coordinate": list(self.worst_coordinate),
-            "n_coordinates": self.n_coordinates,
-            "step": self.step,
-            "rel_tol": self.rel_tol,
-            "abs_floor": self.abs_floor,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "worst_coordinate": list(self.worst_coordinate)}
 
 
 def gradient_check(fn, point, step=1e-5, rel_tol=1e-4, abs_floor=1e-7):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from graspkit import EncoderConfig, Grasp, HeatmapBundle, OrientedRect, ideal_bundle
+from graspkit import EncoderConfig, Grasp, HeatmapBundle, OrientedRect, ideal_bundle, losses
 from graspkit.checks import random_bundle, separated_grasps as random_separated_grasps  # noqa: F401
 
 
@@ -227,3 +227,76 @@ def recovered_fraction(truths, found, eval_height, max_angle):
                 hit += 1
                 break
     return hit / len(truths) if truths else 1.0
+
+
+def _random_smooth_detection_point(rng, shape):
+    truth = rng.uniform(0.0, 0.9, size=shape)
+    peaks = rng.random(size=shape) < 0.1
+    truth[peaks] = 1.0
+    pred = rng.uniform(0.05, 0.95, size=shape)
+    return pred, truth
+
+
+def gradcheck_battery_reference(seed=0, points=100, step=1e-5, tolerance=1e-4):
+    """The gradient battery as five hand-written loops, one per loss, in the
+    order and with the draws that ``run_gradcheck_battery`` must reproduce."""
+    rng = np.random.default_rng(seed)
+    results = {}
+
+    worst = 0.0
+    for _ in range(points):
+        pred, truth = _random_smooth_detection_point(rng, (2, 4, 4))
+        n = int(rng.integers(1, 5))
+        report = losses.gradient_check(
+            lambda x: losses.detection_loss(x, truth, n), pred, step=step, rel_tol=tolerance
+        )
+        worst = max(worst, report.max_error)
+    results["detection"] = {"max_error": worst, "passed": worst < tolerance}
+
+    worst = 0.0
+    for _ in range(points):
+        center_truth = rng.uniform(0.0, 0.9, size=(5, 5))
+        center_truth[rng.integers(0, 5), rng.integers(0, 5)] = 1.0
+        pred = rng.uniform(0.05, 0.95, size=(5, 5))
+        report = losses.gradient_check(
+            lambda x: losses.detection_loss(x, center_truth, 1), pred, step=step, rel_tol=tolerance
+        )
+        worst = max(worst, report.max_error)
+    results["detection_center"] = {"max_error": worst, "passed": worst < tolerance}
+
+    worst = 0.0
+    for _ in range(points):
+        truth_off = rng.random((6, 2))
+        # stay >= 10*step away from the smooth-L1 kink at |d| = 1
+        delta = rng.uniform(-0.9, 0.9, size=(6, 2))
+        pred_off = truth_off + delta
+        report = losses.gradient_check(
+            lambda x: losses.offset_loss(x, truth_off), pred_off, step=step, rel_tol=tolerance
+        )
+        worst = max(worst, report.max_error)
+    results["offset"] = {"max_error": worst, "passed": worst < tolerance}
+
+    worst = 0.0
+    for _ in range(points):
+        pairs = rng.normal(0.0, 2.0, size=(5, 2))
+        report = losses.gradient_check(losses.pull_loss, pairs, step=step, rel_tol=tolerance)
+        worst = max(worst, report.max_error)
+    results["pull"] = {"max_error": worst, "passed": worst < tolerance}
+
+    worst = 0.0
+    kept = 0
+    while kept < points:
+        pairs = rng.normal(0.0, 2.0, size=(4, 2))
+        means = pairs.mean(axis=1)
+        gaps = np.abs(means[:, None] - means[None, :])[~np.eye(4, dtype=bool)]
+        # keep clear of the hinge kinks at gap 0 and gap 1
+        if np.any(np.abs(gaps - 1.0) < 10 * step) or np.any(gaps < 10 * step):
+            continue
+        kept += 1
+        report = losses.gradient_check(losses.push_loss, pairs, step=step, rel_tol=tolerance)
+        worst = max(worst, report.max_error)
+    results["push"] = {"max_error": worst, "passed": worst < tolerance}
+
+    passed = all(entry["passed"] for entry in results.values())
+    return {"seed": seed, "points": points, "step": step, "tolerance": tolerance,
+            "losses": results, "passed": passed}

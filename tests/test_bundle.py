@@ -16,6 +16,7 @@ from graspkit import (
     PayloadError,
     ValueRangeError,
     read_bundle,
+    read_depth_gktb,
     read_gktb,
     write_bundle,
     write_gktb,
@@ -270,3 +271,30 @@ def test_header_center_count_two_rejected():
     buf.seek(0)
     with pytest.raises(DimensionError, match="plane center: expected 1 plane"):
         read_bundle(buf)
+
+
+def test_write_rejects_duplicate_names_and_non_3d_planes():
+    depth = np.full((1, 3, 3), 1000.0, dtype=np.float32)
+    with pytest.raises(HeaderError, match="duplicate plane 'depth'"):
+        write_gktb(io.BytesIO(), [("depth", depth), ("depth", depth + 1.0)], num_classes=0,
+                   downsample_ratio=1)
+    with pytest.raises(DimensionError, match="plane depth: expected a 3-D array"):
+        write_gktb(io.BytesIO(), [("depth", depth[0])], num_classes=0, downsample_ratio=1)
+
+
+def test_read_rejects_duplicate_plane_names(tmp_path):
+    header = dict(_ONE_PLANE, planes=[{"name": "depth", "count": 1}] * 2)
+    stream = _gktb_with_header(header) + struct.pack("<f", 2000.0)
+    with pytest.raises(HeaderError, match="duplicate plane 'depth'"):
+        read_gktb(io.BytesIO(stream))
+    path = tmp_path / "two-depths.gktb"
+    path.write_bytes(stream)
+    with pytest.raises(HeaderError, match="duplicate plane 'depth'"):
+        read_depth_gktb(path)
+
+
+def test_deeply_nested_header_raises_header_error():
+    blob = b"[" * 100_000 + b"]" * 100_000
+    stream = b"GKTB" + struct.pack("<B", 1) + struct.pack("<I", len(blob)) + blob
+    with pytest.raises(HeaderError, match="not valid UTF-8 JSON"):
+        read_gktb(io.BytesIO(stream))

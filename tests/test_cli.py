@@ -333,3 +333,39 @@ def test_score_non_finite_surface_depth_is_data_error(tmp_path, surface):
     assert proc.returncode == 2, proc.stdout
     assert "Traceback" not in proc.stderr and "finite" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_evaluate_overflowing_prediction_prints_one_error_line(tmp_path):
+    pred_path, truth_path = tmp_path / "pred.jsonl", tmp_path / "truth.jsonl"
+    write_annotations([Grasp(50.0, 50.0, 0.0, 1e308)], pred_path)
+    write_annotations([Grasp(50.0, 50.0, 0.0, 20.0, 10.0)], truth_path)
+    proc = run_cli("evaluate", "--pred", str(pred_path), "--truth", str(truth_path),
+                   "--profile", "cornell")
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_deeply_nested_json_is_data_error(tmp_path, annotations):
+    deep_bundle = tmp_path / "deep.gktb"
+    deep_bundle.write_bytes(b"GKTB" + bytes([1]) + len(_DEEP_JSON).to_bytes(4, "little")
+                            + _DEEP_JSON.encode())
+    deep_lines = tmp_path / "deep.jsonl"
+    deep_lines.write_text(_DEEP_JSON + "\n")
+    grasps_path, depth_path = _score_inputs(tmp_path)
+    deep_gripper = tmp_path / "gripper.json"
+    deep_gripper.write_text(_DEEP_JSON)
+    commands = [
+        ["group", "--bundle", str(deep_bundle), "--profile", "cornell"],
+        ["evaluate", "--pred", str(deep_lines), "--truth", str(annotations), "--profile", "cornell"],
+        ["score", "--grasps", str(grasps_path), "--depth", str(depth_path),
+         "--gripper", str(deep_gripper)],
+    ]
+    for argv in commands:
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, (argv[0], proc.stderr)
+        assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+        assert proc.stdout == ""

@@ -1,5 +1,6 @@
 """Rectangle metric semantics, dataset aggregation and fps measurement."""
 
+import json
 import math
 import time
 
@@ -12,6 +13,7 @@ from graspkit import (
     AJD,
     CORNELL,
     Grasp,
+    ImageResult,
     MatchCriteria,
     OrientedRect,
     PairingError,
@@ -261,3 +263,12 @@ def test_prediction_with_overflowing_area_raises():
     for policy in ("top1", "topn"):
         with pytest.raises(ValueError, match="areas overflow"):
             evaluate_dataset({"a": [pred]}, {"a": [truth]}, CORNELL_CRIT, policy=policy)
+
+
+def test_image_result_to_dict_json():
+    assert json.dumps(ImageResult("img", True, 0.75, None).to_dict()) == (
+        '{"image_id": "img", "matched": true, "best_jaccard": 0.75, "best_angle_diff": null}'
+    )
+    assert json.dumps(ImageResult("b", False, 0.0, 0.25).to_dict()) == (
+        '{"image_id": "b", "matched": false, "best_jaccard": 0.0, "best_angle_diff": 0.25}'
+    )

@@ -1,6 +1,8 @@
 """Grasp representation conversions, orientation classes and rotated IoU."""
 
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +243,23 @@ def test_annotation_readers_reject_bad_records(tmp_path, record, field):
         with pytest.raises(ValueError, match="line 3") as info:
             reader(path)
         assert field in str(info.value)
+
+
+def test_iou_overflow_raises_value_error_without_numpy_warnings():
+    truth = OrientedRect((50.0, 50.0), 20.0, 10.0, 0.0)
+    huge = OrientedRect((50.0, 50.0), 1e308, 23.33, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((huge, truth), (truth, huge)):
+            with pytest.raises(ValueError, match="areas overflow"):
+                rotated_iou(a, b)
+
+
+def test_deeply_nested_annotation_line_is_invalid_json():
+    text = "[" * 100_000 + "]" * 100_000 + "\n"
+    for reader in (read_annotations, read_annotation_groups):
+        with pytest.raises(ValueError, match="line 1: invalid JSON"):
+            reader(io.StringIO(text))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,5 +1,6 @@
 """Loss values against hand evaluations and gradients against finite differences."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from graspkit import (
     FocalParams,
+    GradCheckReport,
     GradientError,
     LossWeights,
     detection_loss,
@@ -17,7 +19,8 @@ from graspkit import (
     push_loss,
     total_loss,
 )
-from helpers import naive_detection_loss
+from graspkit.checks import run_gradcheck_battery
+from helpers import gradcheck_battery_reference, naive_detection_loss
 
 
 def test_detection_perfect_prediction_near_zero():
@@ -187,3 +190,17 @@ def test_focal_params_defaults():
     p = FocalParams()
     assert (p.alpha, p.beta) == (2.0, 4.0)
     assert LossWeights() == LossWeights(1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kwargs", [{}, {"points": 7, "step": 1e-4}], ids=["defaults", "points7-step1e-4"])
+def test_gradcheck_battery_matches_five_loop_reference(seed, kwargs):
+    assert run_gradcheck_battery(seed=seed, **kwargs) == gradcheck_battery_reference(seed=seed, **kwargs)
+
+
+def test_gradcheck_report_to_dict_json():
+    report = GradCheckReport(1.5e-8, (1, 2), 10, 1e-5, 1e-4, 1e-7, True)
+    assert json.dumps(report.to_dict()) == (
+        '{"max_error": 1.5e-08, "worst_coordinate": [1, 2], "n_coordinates": 10, '
+        '"step": 1e-05, "rel_tol": 0.0001, "abs_floor": 1e-07, "passed": true}'
+    )
