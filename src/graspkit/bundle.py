@@ -25,7 +25,9 @@ by a read round-trips bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,22 +122,23 @@ class HeatmapBundle:
         if self.downsample_ratio < 1:
             raise DimensionError(f"downsample_ratio must be >= 1, got {self.downsample_ratio}")
         h, w = self.center.shape
+        # one min/max pair per plane: NaN and infinities carry through both
+        bounds = {}
         for (name, arr), count in zip(self.planes(), _PLANE_COUNTS.values()):
             expected = (count or self.num_classes, h, w)
             if arr.shape != expected:
                 raise DimensionError(
                     f"plane {name}: shape {arr.shape} does not match expected {expected}"
                 )
-            if not np.isfinite(arr).all():
+            bounds[name] = lo, hi = float(arr.min(initial=0.0)), float(arr.max(initial=0.0))
+            if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise PayloadError(f"plane {name}: non-finite value in payload")
         for name in ("left", "right", "center"):
-            arr = getattr(self, name)
-            lo, hi = float(arr.min(initial=0.0)), float(arr.max(initial=0.0))
+            lo, hi = bounds[name]
             if lo < 0.0 or hi > 1.0:
                 raise ValueRangeError(f"plane {name}: heatmap value outside [0, 1] (min={lo}, max={hi})")
         for name in ("offsetL", "offsetR"):
-            arr = getattr(self, name)
-            lo, hi = float(arr.min(initial=0.0)), float(arr.max(initial=0.0))
+            lo, hi = bounds[name]
             if lo < 0.0 or hi >= 1.0:
                 raise ValueRangeError(f"plane {name}: offset value outside [0, 1) (min={lo}, max={hi})")
         return self
@@ -153,56 +156,37 @@ class HeatmapBundle:
 def write_gktb(dest, planes, *, num_classes, downsample_ratio):
     """Write named float32 plane stacks as a GKTB stream.
 
-    ``planes`` is an ordered list of (name, array) where each array has
-    shape (count, H, W), written in list order; a repeated name raises
-    HeaderError, an array that is not 3-D DimensionError.  Returns the
-    number of bytes written.  ``dest`` may be a path or a binary file object.
+    ``planes`` is an ordered list of (name, array), each array of shape
+    (count, H, W), written in list order under ``str(name)``.  The writer
+    applies the reader's rules (``_layout`` and the finite test) and raises
+    HeaderError, DimensionError or PayloadError before it opens ``dest``,
+    so every stream it writes reads back.  Returns the number of bytes
+    written.  ``dest`` may be a path or a binary file object.
     """
-    if hasattr(dest, "write"):
-        return _write_stream(dest, planes, num_classes, downsample_ratio)
-    with open(dest, "wb") as fh:
-        return _write_stream(fh, planes, num_classes, downsample_ratio)
-
-
-def _write_stream(fh, planes, num_classes, downsample_ratio):
-    arrays = {}
-    for name, arr in planes:
-        if name in arrays:
-            raise HeaderError(f"duplicate plane {name!r}")
-        arrays[name] = arr = np.asarray(arr, dtype=np.float32)
+    with np.errstate(over="ignore"):
+        named = [(str(name), np.asarray(arr, dtype=np.float32)) for name, arr in planes]
+    for name, arr in named:
         if arr.ndim != 3:
             raise DimensionError(f"plane {name}: expected a 3-D array, got ndim={arr.ndim}")
-    heights = {a.shape[1] for a in arrays.values()}
-    widths = {a.shape[2] for a in arrays.values()}
-    if len(heights) != 1 or len(widths) != 1:
-        raise DimensionError(f"planes disagree on grid size: heights={heights}, widths={widths}")
-    height, width = heights.pop(), widths.pop()
+    height, width = named[0][1].shape[1:] if named else (0, 0)
     header = {
         "num_classes": int(num_classes),
-        "height": int(height),
-        "width": int(width),
+        "height": height,
+        "width": width,
         "downsample_ratio": int(downsample_ratio),
-        "planes": [{"name": name, "count": int(a.shape[0])} for name, a in arrays.items()],
+        "planes": [{"name": name, "count": arr.shape[0]} for name, arr in named],
     }
+    _layout(header)
+    for name, arr in named:
+        if arr.shape[1:] != (height, width):
+            raise DimensionError(f"plane {name}: grid {arr.shape[1:]} differs from {(height, width)}")
+        _require_finite(name, arr)
     blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    written = fh.write(MAGIC + struct.pack("<BI", VERSION, len(blob)) + blob)
-    for a in arrays.values():
-        written += fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+    with nullcontext(dest) if hasattr(dest, "write") else open(dest, "wb") as fh:
+        written = fh.write(MAGIC + struct.pack("<BI", VERSION, len(blob)) + blob)
+        for _, arr in named:
+            written += fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     return written
-
-
-def read_gktb(src):
-    """Parse a GKTB stream into (header dict, list of (name, array)).
-
-    Arrays come back float32 with shape (count, H, W).  Raises BadMagicError,
-    HeaderError, DimensionError or PayloadError on malformed input.  Any
-    plane holding NaN or infinities is rejected, and so is a header that
-    names a plane twice or nests too deeply to parse (HeaderError).
-    """
-    if hasattr(src, "read"):
-        return _read_stream(src)
-    with open(src, "rb") as fh:
-        return _read_stream(fh)
 
 
 def _require_int(value, field):
@@ -210,6 +194,42 @@ def _require_int(value, field):
     if isinstance(value, bool) or not isinstance(value, int):
         raise HeaderError(f"header field {field!r} must be an integer, got {value!r}")
     return value
+
+
+def _require_finite(name, arr):
+    if not np.isfinite(arr).all():
+        raise PayloadError(f"plane {name}: non-finite value in payload")
+    return arr
+
+
+def _layout(header):
+    """Check a decoded header by the rules reader and writer share; returns
+    (height, width, [(name, count), ...]) or raises HeaderError."""
+    if not isinstance(header, dict):
+        raise HeaderError(f"header must be a JSON object, got {type(header).__name__}")
+    for key in ("num_classes", "height", "width", "downsample_ratio", "planes"):
+        if key not in header:
+            raise HeaderError(f"header missing field {key!r}")
+    for key in ("num_classes", "height", "width", "downsample_ratio"):
+        _require_int(header[key], key)
+    if not isinstance(header["planes"], list):
+        raise HeaderError(f"header field 'planes' must be a list, got {header['planes']!r}")
+    if not header["planes"]:
+        raise HeaderError("header declares no planes")
+    height, width = header["height"], header["width"]
+    if height < 1 or width < 1:
+        raise HeaderError(f"invalid grid size {height}x{width}")
+    counts = {}
+    for entry in header["planes"]:
+        if not isinstance(entry, dict) or "name" not in entry or "count" not in entry:
+            raise HeaderError(f"malformed plane entry {entry!r}")
+        name, count = str(entry["name"]), _require_int(entry["count"], "count")
+        if name in counts:
+            raise HeaderError(f"duplicate plane {name!r}")
+        if count < 1:
+            raise HeaderError(f"plane {name}: count must be >= 1, got {count}")
+        counts[name] = count
+    return height, width, list(counts.items())
 
 
 _READ_CHUNK = 1 << 20
@@ -232,61 +252,46 @@ def _read_upto(fh, nbytes):
     return b"".join(parts)
 
 
-def _read_stream(fh):
-    magic = fh.read(4)
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    raw = fh.read(5)
-    if len(raw) < 5:
-        raise HeaderError("stream ends inside the fixed header")
-    version = raw[0]
-    if version != VERSION:
-        raise HeaderError(f"unsupported GKTB version {version}")
-    (header_len,) = struct.unpack("<I", raw[1:5])
-    blob = _read_upto(fh, header_len)
-    if len(blob) < header_len:
-        raise HeaderError("stream ends inside the JSON header")
-    try:
-        header = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise HeaderError(f"header is not valid UTF-8 JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise HeaderError(f"header must be a JSON object, got {type(header).__name__}")
-    for key in ("num_classes", "height", "width", "downsample_ratio", "planes"):
-        if key not in header:
-            raise HeaderError(f"header missing field {key!r}")
-    for key in ("num_classes", "height", "width", "downsample_ratio"):
-        _require_int(header[key], key)
-    if not isinstance(header["planes"], list):
-        raise HeaderError(f"header field 'planes' must be a list, got {header['planes']!r}")
-    if not header["planes"]:
-        raise HeaderError("header declares no planes")
-    height, width = header["height"], header["width"]
-    if height < 1 or width < 1:
-        raise HeaderError(f"invalid grid size {height}x{width}")
-    plane_size = height * width
-    planes = {}
-    for entry in header["planes"]:
-        if not isinstance(entry, dict) or "name" not in entry or "count" not in entry:
-            raise HeaderError(f"malformed plane entry {entry!r}")
-        name, count = str(entry["name"]), _require_int(entry["count"], "count")
-        if name in planes:
-            raise HeaderError(f"duplicate plane {name!r}")
-        if count < 1:
-            raise HeaderError(f"plane {name}: count must be >= 1, got {count}")
-        nbytes = 4 * count * plane_size
-        payload = _read_upto(fh, nbytes)
-        if len(payload) < nbytes:
-            raise DimensionError(
-                f"plane {name}: truncated payload, expected {nbytes} bytes, got {len(payload)}"
-            )
-        arr = np.frombuffer(payload, dtype="<f4").reshape(count, height, width).copy()
-        if not np.isfinite(arr).all():
-            raise PayloadError(f"plane {name}: non-finite value in payload")
-        planes[name] = arr
-    if fh.read(1):
-        raise DimensionError("trailing data after declared payload")
-    return header, list(planes.items())
+def read_gktb(src):
+    """Parse a GKTB stream into (header dict, list of (name, array)).
+
+    Arrays come back float32 with shape (count, H, W).  Raises BadMagicError,
+    HeaderError, DimensionError or PayloadError on malformed input.  Any
+    plane holding NaN or infinities is rejected, and so is a header that
+    names a plane twice or nests too deeply to parse (HeaderError).
+    """
+    with nullcontext(src) if hasattr(src, "read") else open(src, "rb") as fh:
+        magic = fh.read(4)
+        if magic != MAGIC:
+            raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        raw = fh.read(5)
+        if len(raw) < 5:
+            raise HeaderError("stream ends inside the fixed header")
+        version = raw[0]
+        if version != VERSION:
+            raise HeaderError(f"unsupported GKTB version {version}")
+        (header_len,) = struct.unpack("<I", raw[1:5])
+        blob = _read_upto(fh, header_len)
+        if len(blob) < header_len:
+            raise HeaderError("stream ends inside the JSON header")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or an over-long int
+            raise HeaderError(f"header is not valid UTF-8 JSON: {exc}") from exc
+        height, width, layout = _layout(header)
+        planes = []
+        for name, count in layout:
+            nbytes = 4 * count * height * width
+            payload = _read_upto(fh, nbytes)
+            if len(payload) < nbytes:
+                raise DimensionError(
+                    f"plane {name}: truncated payload, expected {nbytes} bytes, got {len(payload)}"
+                )
+            arr = np.frombuffer(payload, dtype="<f4").reshape(count, height, width).copy()
+            planes.append((name, _require_finite(name, arr)))
+        if fh.read(1):
+            raise DimensionError("trailing data after declared payload")
+        return header, planes
 
 
 def write_bundle(bundle, dest):

@@ -41,8 +41,9 @@ class DepthImage:
     surface: np.ndarray
 
     def __post_init__(self):
-        self.depth = np.asarray(self.depth, dtype=np.float32)
-        self.surface = np.asarray(self.surface, dtype=np.float32)
+        with np.errstate(over="ignore"):  # an overflow to inf fails the finite check below
+            self.depth = np.asarray(self.depth, dtype=np.float32)
+            self.surface = np.asarray(self.surface, dtype=np.float32)
         if self.depth.shape != self.surface.shape:
             raise ValueError(
                 f"depth {self.depth.shape} and surface {self.surface.shape} shapes differ"
@@ -56,8 +57,8 @@ class DepthImage:
 
     @classmethod
     def flat_surface(cls, depth, surface_mm):
-        depth = np.asarray(depth, dtype=np.float32)
-        return cls(depth, np.full(depth.shape, float(surface_mm), dtype=np.float32))
+        with np.errstate(over="ignore"):
+            return cls(depth, np.full(np.shape(depth), float(surface_mm), dtype=np.float32))
 
     @property
     def shape(self):

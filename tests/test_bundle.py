@@ -4,13 +4,17 @@ import hashlib
 import io
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graspkit import (
     BadMagicError,
     DimensionError,
+    GKTBError,
     HeaderError,
     HeatmapBundle,
     PayloadError,
@@ -298,3 +302,139 @@ def test_deeply_nested_header_raises_header_error():
     stream = b"GKTB" + struct.pack("<B", 1) + struct.pack("<I", len(blob)) + blob
     with pytest.raises(HeaderError, match="not valid UTF-8 JSON"):
         read_gktb(io.BytesIO(stream))
+
+
+def test_validate_finite_test_precedes_range_tests():
+    b = random_bundle(np.random.default_rng(14))
+    b.left[0, 0, 0] = np.inf
+    with pytest.raises(PayloadError, match="plane left: non-finite"):
+        b.validate()
+    b = random_bundle(np.random.default_rng(15))
+    b.embedR[0, 0] = np.nan
+    with pytest.raises(PayloadError, match="plane embedR: non-finite"):
+        b.validate()
+    b.left[0, 0, 0] = 1.5  # out of range, but embedR's NaN is reported first
+    with pytest.raises(PayloadError, match="plane embedR"):
+        b.validate()
+
+
+_A = np.ones((1, 2, 2), np.float32)
+
+
+@pytest.mark.parametrize(
+    "planes, error, message",
+    [
+        ([(1, _A), ("1", _A + 1.0)], HeaderError, "duplicate plane '1'"),
+        ([], HeaderError, "header declares no planes"),
+        ([("x", np.full((1, 2, 2), np.nan, np.float32))], PayloadError, "plane x: non-finite"),
+        ([("x", np.full((1, 2, 2), 1e39))], PayloadError, "plane x: non-finite"),
+        ([("x", np.zeros((1, 0, 5), np.float32))], HeaderError, "invalid grid size 0x5"),
+        ([("x", np.zeros((0, 2, 2), np.float32))], HeaderError, "count must be >= 1"),
+        ([("x", _A), ("y", np.ones((1, 3, 2), np.float32))], DimensionError, "plane y: grid"),
+    ],
+    ids=["int-and-str-name", "no-planes", "nan", "float64-overflow", "empty-grid", "empty-stack",
+         "grid-mismatch"],
+)
+def test_write_applies_the_reader_rules_before_opening_dest(tmp_path, planes, error, message):
+    with warnings.catch_warnings(), pytest.raises(error, match=message):
+        warnings.simplefilter("error")  # the float64 overflow raises, numpy prints nothing
+        write_gktb(io.BytesIO(), planes, num_classes=0, downsample_ratio=1)
+    path = tmp_path / "existing.gktb"
+    path.write_bytes(b"previous contents")
+    with pytest.raises(error, match=message):
+        write_gktb(path, planes, num_classes=0, downsample_ratio=1)
+    assert path.read_bytes() == b"previous contents"
+
+
+def test_write_stores_any_name_as_its_string():
+    key = object()
+    buf = io.BytesIO()
+    write_gktb(buf, [(key, _A)], num_classes=0, downsample_ratio=1)
+    buf.seek(0)
+    assert [name for name, _ in read_gktb(buf)[1]] == [str(key)]
+
+
+# Names mix ints with strings that print alike.  A quarter of the planes
+# carry one value the reader rejects, float64 1e39 among them (finite, but
+# inf as float32).
+_NAMES = st.sampled_from([0, 1, "0", "1", "a"])
+_FINITE = st.sampled_from([0.0, -0.0, 0.5, -2.5, 3e38])
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf, 1e39])
+
+
+@st.composite
+def _plane_lists(draw):
+    height, width = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    planes = []
+    for _ in range(draw(st.integers(0, 3))):
+        shape = (draw(st.sampled_from([0, 1, 1, 2])), height, width + draw(st.sampled_from([0, 0, 0, 1])))
+        values = np.array(draw(st.lists(_FINITE, min_size=int(np.prod(shape)),
+                                        max_size=int(np.prod(shape)))), dtype=np.float64)
+        if values.size and draw(st.integers(0, 3)) == 0:
+            values[draw(st.integers(0, values.size - 1))] = draw(_NON_FINITE)
+        planes.append((draw(_NAMES), values.reshape(shape)))
+    return planes
+
+
+@settings(max_examples=300, deadline=None)
+@given(planes=_plane_lists())
+def test_every_plane_list_raises_or_reads_back_bit_exactly(tmp_path_factory, planes):
+    path = tmp_path_factory.mktemp("write") / "existing.gktb"
+    path.write_bytes(b"previous contents")
+    buf = io.BytesIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            n = write_gktb(path, planes, num_classes=0, downsample_ratio=1)
+        except GKTBError:
+            assert path.read_bytes() == b"previous contents"
+            return
+        write_gktb(buf, planes, num_classes=0, downsample_ratio=1)
+    assert path.read_bytes() == buf.getvalue() and len(buf.getvalue()) == n
+    _, back = read_gktb(path)
+    assert [name for name, _ in back] == [str(name) for name, _ in planes]
+    for (_, got), (_, arr) in zip(back, planes):
+        assert got.tobytes() == arr.astype(np.float32).tobytes()
+
+
+_VALID = serialized(random_bundle(np.random.default_rng(16)))
+_HEADER_LEN = struct.unpack("<I", _VALID[5:9])[0]
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 10**6), st.floats(allow_nan=True),
+                         st.text(max_size=4), st.just("9" * 5000), st.lists(st.integers(0, 3), max_size=2),
+                         st.just({}))
+
+
+def _with_header(header):
+    long_int = b"9" * 5000  # beyond Python's int-parsing digit limit; written unquoted
+    blob = json.dumps(header).encode("utf-8").replace(b'"%s"' % long_int, long_int)
+    return _VALID[:5] + struct.pack("<I", len(blob)) + blob + _VALID[9 + _HEADER_LEN :]
+
+
+@st.composite
+def _edited_header(draw):
+    header = json.loads(_VALID[9 : 9 + _HEADER_LEN])
+    entry = draw(st.sampled_from([header] + header["planes"]))
+    entry[draw(st.sampled_from(sorted(entry)) | st.text(max_size=3))] = draw(_JSON_VALUES)
+    return _with_header(header)
+
+
+@st.composite
+def _flipped(draw):
+    blob = bytearray(_VALID)
+    for _ in range(draw(st.integers(1, 4))):
+        blob[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(blob)
+
+
+_CORRUPT = st.one_of(_flipped(), st.integers(0, len(_VALID) - 1).map(lambda n: _VALID[:n]),
+                     _edited_header())
+
+
+@settings(max_examples=500, deadline=None)
+@given(stream=_CORRUPT)
+def test_corrupt_streams_parse_or_raise_gktb_error(stream):
+    for read in (read_gktb, read_bundle):
+        try:
+            read(io.BytesIO(stream))
+        except GKTBError:
+            pass

@@ -26,6 +26,14 @@ def run_cli(*args, cwd=None):
     return proc
 
 
+def assert_data_error(proc):
+    """Exit 2, empty stdout, and one stderr line: the CLI's own ``error:`` line."""
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
 def jsonl(text):
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
@@ -96,8 +104,7 @@ def test_group_threshold_override_echoed(tmp_path, annotations):
 def test_evaluate_missing_file_is_data_error(tmp_path, annotations):
     proc = run_cli("evaluate", "--pred", str(annotations), "--truth",
                    str(tmp_path / "missing.jsonl"), "--profile", "cornell")
-    assert proc.returncode == 2
-    assert "error" in proc.stderr.lower()
+    assert_data_error(proc)
 
 
 def test_unknown_flag_is_usage_error():
@@ -111,7 +118,7 @@ def test_profile_mismatch_is_data_error(tmp_path, annotations):
     run_cli("encode", "--annotations", str(annotations), "--profile", "cornell",
             "--image-size", "228x228", "--out", str(bundle_path))
     proc = run_cli("decode", "--bundle", str(bundle_path), "--profile", "ajd")
-    assert proc.returncode == 2
+    assert_data_error(proc)
 
 
 @pytest.mark.parametrize(
@@ -127,8 +134,7 @@ def test_group_malformed_header_is_data_error(tmp_path, header):
     path = tmp_path / "bad.gktb"
     path.write_bytes(b"GKTB" + bytes([1]) + len(blob).to_bytes(4, "little") + blob)
     proc = run_cli("group", "--bundle", str(path), "--profile", "cornell")
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+    assert_data_error(proc)
 
 
 def test_group_oversized_declared_plane_is_data_error(tmp_path):
@@ -138,8 +144,8 @@ def test_group_oversized_declared_plane_is_data_error(tmp_path):
     path = tmp_path / "huge.gktb"
     path.write_bytes(b"GKTB" + bytes([1]) + len(blob).to_bytes(4, "little") + blob + b"\0" * 64)
     proc = run_cli("group", "--bundle", str(path), "--profile", "cornell")
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr and "truncated" in proc.stderr
+    assert_data_error(proc)
+    assert "truncated" in proc.stderr
 
 
 def _score_inputs(tmp_path):
@@ -169,9 +175,7 @@ def test_score_bad_gripper_spec_is_data_error(tmp_path, spec):
     gripper_path.write_text(spec)
     proc = run_cli("score", "--grasps", str(grasps_path), "--depth", str(depth_path),
                    "--gripper", str(gripper_path))
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
-    assert proc.stdout == ""
+    assert_data_error(proc)
 
 
 @pytest.mark.parametrize(
@@ -198,9 +202,8 @@ def test_bad_annotation_record_is_data_error(tmp_path, annotations, record):
     ]
     for argv in commands:
         proc = run_cli(*argv)
-        assert proc.returncode == 2, (argv[0], proc.stderr)
-        assert "Traceback" not in proc.stderr and "line 1" in proc.stderr
-        assert proc.stdout == ""
+        assert_data_error(proc)
+        assert "line 1" in proc.stderr, argv[0]
 
 
 def test_score_command(tmp_path):
@@ -272,7 +275,7 @@ def test_filter_jacquard_missing_mask(tmp_path):
     write_annotations([Grasp(30, 30, 0.0, 10, h=10)], ann_dir / "orphan.jsonl")
     proc = run_cli("filter-jacquard", "--annotations", str(ann_dir), "--masks", str(mask_dir),
                    "--out", str(tmp_path / "r.json"))
-    assert proc.returncode == 2
+    assert_data_error(proc)
     assert "orphan" in proc.stderr
 
 
@@ -304,9 +307,7 @@ def test_filter_jacquard_non_finite_width_is_data_error(tmp_path):
     write_gktb(mask_dir / "img.gktb", [("mask", mask)], num_classes=0, downsample_ratio=1)
     proc = run_cli("filter-jacquard", "--annotations", str(ann_dir), "--masks", str(mask_dir),
                    "--out", str(tmp_path / "r.json"))
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
-    assert proc.stdout == ""
+    assert_data_error(proc)
 
 
 def test_evaluate_overflowing_prediction_is_data_error(tmp_path):
@@ -315,9 +316,8 @@ def test_evaluate_overflowing_prediction_is_data_error(tmp_path):
     write_annotations([Grasp(50.0, 50.0, 0.0, 20.0, 10.0)], truth_path)
     proc = run_cli("evaluate", "--pred", str(pred_path), "--truth", str(truth_path),
                    "--profile", "cornell")
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr and "areas overflow" in proc.stderr
-    assert proc.stdout == ""
+    assert_data_error(proc)
+    assert "areas overflow" in proc.stderr
 
 
 @pytest.mark.parametrize("surface", ["inf", "1e39", "nan"])
@@ -330,9 +330,8 @@ def test_score_non_finite_surface_depth_is_data_error(tmp_path, surface):
     write_annotations([Grasp(30.0, 30.0, 0.0, 20.0)], grasps_path)
     proc = run_cli("score", "--grasps", str(grasps_path), "--depth", str(depth_path),
                    "--surface-depth", surface)
-    assert proc.returncode == 2, proc.stdout
-    assert "Traceback" not in proc.stderr and "finite" in proc.stderr
-    assert proc.stdout == ""
+    assert_data_error(proc)
+    assert "finite" in proc.stderr
 
 
 def test_evaluate_overflowing_prediction_prints_one_error_line(tmp_path):
@@ -341,9 +340,7 @@ def test_evaluate_overflowing_prediction_prints_one_error_line(tmp_path):
     write_annotations([Grasp(50.0, 50.0, 0.0, 20.0, 10.0)], truth_path)
     proc = run_cli("evaluate", "--pred", str(pred_path), "--truth", str(truth_path),
                    "--profile", "cornell")
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert_data_error(proc)
 
 
 _DEEP_JSON = "[" * 100_000 + "]" * 100_000
@@ -366,6 +363,15 @@ def test_deeply_nested_json_is_data_error(tmp_path, annotations):
     ]
     for argv in commands:
         proc = run_cli(*argv)
-        assert proc.returncode == 2, (argv[0], proc.stderr)
-        assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
-        assert proc.stdout == ""
+        assert_data_error(proc)
+
+
+@pytest.mark.parametrize("size", ["0x0", "0x228"])
+def test_encode_zero_size_image_is_data_error(tmp_path, size):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "b.gktb"
+    proc = run_cli("encode", "--annotations", str(empty), "--profile", "cornell",
+                   "--image-size", size, "--out", str(out))
+    assert_data_error(proc)
+    assert not out.exists()
