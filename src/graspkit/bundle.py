@@ -68,7 +68,9 @@ class ValueRangeError(GKTBError):
 
 
 def _plane32(value, name):
-    arr = np.asarray(value, dtype=np.float32)
+    # a value beyond the float32 range becomes inf, which validate() rejects
+    with np.errstate(over="ignore"):
+        arr = np.asarray(value, dtype=np.float32)
     if arr.ndim not in (2, 3):
         raise DimensionError(f"plane {name}: expected 2-D or 3-D array, got ndim={arr.ndim}")
     return arr
@@ -185,7 +187,8 @@ def write_gktb(dest, planes, *, num_classes, downsample_ratio):
     with nullcontext(dest) if hasattr(dest, "write") else open(dest, "wb") as fh:
         written = fh.write(MAGIC + struct.pack("<BI", VERSION, len(blob)) + blob)
         for _, arr in named:
-            written += fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            # written straight from the array, without a bytes copy per plane
+            written += fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f4")).cast("B"))
     return written
 
 
@@ -236,20 +239,23 @@ _READ_CHUNK = 1 << 20
 
 
 def _read_upto(fh, nbytes):
-    """Read at most ``nbytes``, in chunks of at most 1 MiB.
+    """Read at most ``nbytes`` into a writable uint8 array, in chunks of at
+    most 1 MiB.
 
     A size comes from the header before it can be checked against the
     stream, so a short stream ends the read without allocating the
-    declared size.  Reads of up to one chunk are a single ``read``.
+    declared size.  Each chunk is read straight into its own array, so a
+    read of up to one chunk copies each byte once.
     """
-    parts = []
+    chunks = []
     while nbytes > 0:
-        part = fh.read(min(nbytes, _READ_CHUNK))
-        if not part:
+        chunk = np.empty(min(nbytes, _READ_CHUNK), dtype=np.uint8)
+        got = fh.readinto(chunk)
+        if not got:
             break
-        parts.append(part)
-        nbytes -= len(part)
-    return b"".join(parts)
+        chunks.append(chunk[:got])
+        nbytes -= got
+    return chunks[0] if len(chunks) == 1 else np.concatenate([np.empty(0, np.uint8), *chunks])
 
 
 def read_gktb(src):
@@ -275,7 +281,7 @@ def read_gktb(src):
         if len(blob) < header_len:
             raise HeaderError("stream ends inside the JSON header")
         try:
-            header = json.loads(blob.decode("utf-8"))
+            header = json.loads(blob.tobytes().decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or an over-long int
             raise HeaderError(f"header is not valid UTF-8 JSON: {exc}") from exc
         height, width, layout = _layout(header)
@@ -287,7 +293,7 @@ def read_gktb(src):
                 raise DimensionError(
                     f"plane {name}: truncated payload, expected {nbytes} bytes, got {len(payload)}"
                 )
-            arr = np.frombuffer(payload, dtype="<f4").reshape(count, height, width).copy()
+            arr = payload.view("<f4").reshape(count, height, width)
             planes.append((name, _require_finite(name, arr)))
         if fh.read(1):
             raise DimensionError("trailing data after declared payload")

@@ -8,6 +8,15 @@ pixel) entries survive with ties broken by ascending (class, row, col).
 Coordinates are refined to input-image resolution with the offset planes:
 (pixel + offset) * R, the exact inverse of the encoder's quantization.
 Embeddings are read at the winning integer pixel.
+
+Top-k selection runs that rule without suppressing every pixel.  Only
+candidate pixels get the 3x3 test, by eight lookups each: every positive
+pixel when there are few, else the positive pixels scoring at least the
+(4k)-th highest positive score.  This is exact.  A peak outside the
+candidate set scores below every candidate, so when the candidates hold at
+least k peaks, those k are the top k of the whole stack.  When they hold
+fewer, or when ties make them too many to test for less than a whole-stack
+suppression (a plateau), the whole stack is suppressed instead.
 """
 
 from __future__ import annotations
@@ -44,20 +53,9 @@ def suppress_non_maxima(stack):
     return np.where(arr == peaks, arr, np.float32(0.0))
 
 
-def select_grasp_keypoints(heatmaps, embeddings, offsets, k, ratio, role="left", suppress=True):
-    """Top-k keypoints of one role; shorter list when fewer pixels score > 0."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    stack = np.asarray(heatmaps, dtype=np.float32)
-    if stack.ndim == 2:
-        stack = stack[None]
-    if suppress:
-        stack = suppress_non_maxima(stack)
-    n_cls, h, w = stack.shape
-    flat = stack.reshape(-1)
-    nz = np.flatnonzero(flat > 0)
-    if nz.size == 0:
-        return []
+def _top_k(flat, nz, k):
+    """The k indices of ``nz`` with the highest ``flat`` values, ties broken
+    by ascending flat index, which is (class, row, col) order."""
     values = flat[nz]
     if nz.size > k:
         # keep everything scoring at least the k-th largest score, ties
@@ -65,9 +63,88 @@ def select_grasp_keypoints(heatmaps, embeddings, offsets, k, ratio, role="left",
         kth = np.partition(values, nz.size - k)[nz.size - k]
         keep = values >= kth
         nz, values = nz[keep], values[keep]
-    # primary key: score descending; flat index order is (class, row, col)
-    order = np.lexsort((nz, -values))
-    top = nz[order[:k]]
+    return nz[np.lexsort((nz, -values))[:k]]
+
+
+def _peaks_among(flat, cand, h, w):
+    """The pixels of ``cand`` (flat indices of positive pixels of a
+    (classes, h, w) stack) that :func:`suppress_non_maxima` keeps.
+
+    A positive pixel is kept iff no neighbour in its plane is greater or NaN;
+    the 0.0 outside the plane never is.  So a step that would leave the plane
+    is not taken, which only repeats a pixel of the window.
+    """
+    row, col = np.divmod(cand % (h * w), w)
+    zero = np.zeros_like(cand)
+    row_steps = (np.where(row > 0, -w, 0), zero, np.where(row < h - 1, w, 0))
+    col_steps = (np.where(col > 0, -1, 0), zero, np.where(col < w - 1, 1, 0))
+    value = flat[cand]
+    keep = np.ones(cand.shape, dtype=bool)
+    for dr in row_steps:
+        shifted = cand + dr
+        for dc in col_steps:
+            keep &= flat[shifted + dc] <= value
+    return cand[keep]
+
+
+# Candidates per top-k slot, and the share of a stack beyond which testing
+# candidates costs more than suppressing the whole stack: testing one
+# candidate costs about as much as suppressing eight pixels.
+_CANDIDATES_PER_K = 4
+_MAX_CANDIDATE_SHARE = 8
+
+
+def _high_candidates(flat, positive, n_positive, k, bound):
+    """Flat indices of the pixels scoring at least the (4k)-th highest
+    positive score, or None when they number more than ``bound``."""
+    cut = n_positive - _CANDIDATES_PER_K * k
+    if cut <= 0:
+        return None
+    # over positive values only: a partition over many equal zeros is slow
+    values = flat if n_positive == flat.size else flat[positive]
+    # Pixels at the top score are candidates for any threshold, so a plateau
+    # there shows them too many without the partition, which equal values
+    # slow down as well.
+    if np.count_nonzero(values == values.max()) > bound:
+        return None
+    high = flat >= np.partition(values, cut)[cut]
+    return np.flatnonzero(high) if np.count_nonzero(high) <= bound else None
+
+
+def _top_peaks(stack, k):
+    """Flat indices of the top-k positive peaks of ``suppress_non_maxima(stack)``,
+    by the candidate test the module docstring describes."""
+    _, h, w = stack.shape
+    flat = stack.reshape(-1)
+    bound = flat.size // _MAX_CANDIDATE_SHARE
+    positive = flat > 0
+    n_positive = np.count_nonzero(positive)
+    if n_positive <= bound:
+        return _top_k(flat, _peaks_among(flat, np.flatnonzero(positive), h, w), k)
+    cand = _high_candidates(flat, positive, n_positive, k, bound)
+    if cand is not None:
+        peaks = _peaks_among(flat, cand, h, w)
+        if peaks.size >= k:
+            return _top_k(flat, peaks, k)
+    suppressed = suppress_non_maxima(stack).reshape(-1)
+    return _top_k(suppressed, np.flatnonzero(suppressed > 0), k)
+
+
+def select_grasp_keypoints(heatmaps, embeddings, offsets, k, ratio, role="left", suppress=True):
+    """Top-k keypoints of one role; shorter list when fewer pixels score > 0."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    stack = np.asarray(heatmaps, dtype=np.float32)
+    if stack.ndim == 2:
+        stack = stack[None]
+    n_cls, h, w = stack.shape
+    flat = stack.reshape(-1)
+    if suppress:
+        top = _top_peaks(stack, k)
+    else:
+        top = _top_k(flat, np.flatnonzero(flat > 0), k)
+    if top.size == 0:
+        return []
     cls = top // (h * w)
     rem = top % (h * w)
     rows = rem // w

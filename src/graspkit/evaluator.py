@@ -77,29 +77,49 @@ def is_match(pred, truth, criteria):
     return _image_stats([pred], [truth], criteria)[0]
 
 
-# Relative slack on the circumscribed-circle test, far above the rounding
-# error of the corner and clipping arithmetic.
+# Relative slack on the separation test, far above the rounding error of
+# the corner and clipping arithmetic.
 _APART_MARGIN = 1e-6
 
 
-def _circles_apart(rects_a, rects_b):
-    """(len(a), len(b)) mask of pairs whose circumscribed circles are apart.
+def _separated(rects_a, rects_b):
+    """(len(a), len(b)) mask of pairs that an edge normal separates.
 
-    Such rectangles are disjoint, so their polygon clip is empty and
-    :func:`rotated_iou` returns exactly 0.0 for them.
+    Separating-axis test: two convex polygons are disjoint iff their
+    projections onto some edge normal of either one are disjoint, and a
+    rectangle has two edge normals.  On a unit axis n, a rectangle with
+    half sides (hw, hh) along (u, v) projects to its center's projection
+    +- hw|n.u| + hh|n.v|; the gap is the distance between the centers'
+    projections less both half-extents.  A separated pair is disjoint, so
+    its polygon clip is empty and :func:`rotated_iou` returns exactly 0.0.
+
+    The gap must exceed ``_APART_MARGIN`` times the scale of the
+    coordinates (the circumscribed radii plus the centers' L1 norms), over
+    sqrt(2).  The largest edge-normal gap is at least 1/sqrt(2) of the
+    rectangles' distance, which is at least the gap between their
+    circumscribed circles, so every pair whose circles are apart by the
+    margin is rejected too.
     """
-    def centers_radii(rects):
-        xy = np.array([r.center for r in rects], dtype=float)
-        radii = np.array([math.hypot(r.width, r.height) / 2 for r in rects])
-        return xy, radii
+    def frame(rects):
+        x, y, theta, hw, hh = np.array(
+            [(*r.center, r.theta, r.width / 2, r.height / 2) for r in rects], dtype=float
+        ).T
+        return x, y, np.cos(theta), np.sin(theta), hw, hh
 
-    xy_a, ra = centers_radii(rects_a)
-    xy_b, rb = centers_radii(rects_b)
-    gap = xy_a[:, None, :] - xy_b[None, :, :]
-    dist = np.hypot(gap[..., 0], gap[..., 1])
-    reach = ra[:, None] + rb[None, :]
-    scale = reach + np.abs(xy_a).sum(axis=1)[:, None] + np.abs(xy_b).sum(axis=1)[None, :]
-    return dist - reach > _APART_MARGIN * scale
+    # an overflow to inf or NaN leaves the pair to rotated_iou, which raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        xa, ya, ca, sa, wa, ha = (v[:, None] for v in frame(rects_a))
+        xb, yb, cb, sb, wb, hb = frame(rects_b)
+        dx, dy = xb - xa, yb - ya
+        # |cos| and |sin| of the angle between the two rectangles' axes
+        cos_ab = np.abs(ca * cb + sa * sb)
+        sin_ab = np.abs(sa * cb - ca * sb)
+        gap = np.abs(dx * ca + dy * sa) - wa - cos_ab * wb - sin_ab * hb
+        np.maximum(gap, np.abs(dy * ca - dx * sa) - ha - sin_ab * wb - cos_ab * hb, out=gap)
+        np.maximum(gap, np.abs(dx * cb + dy * sb) - wb - cos_ab * wa - sin_ab * ha, out=gap)
+        np.maximum(gap, np.abs(dy * cb - dx * sb) - hb - sin_ab * wa - cos_ab * ha, out=gap)
+        scale = np.hypot(wa, ha) + np.hypot(wb, hb) + np.abs(xa) + np.abs(ya) + np.abs(xb) + np.abs(yb)
+        return gap > _APART_MARGIN / math.sqrt(2) * scale
 
 
 def _image_stats(preds, truths, criteria):
@@ -111,7 +131,7 @@ def _image_stats(preds, truths, criteria):
     angles = angle_diff(
         np.array([p.theta for p in preds])[:, None], np.array([t.theta for t in truths])[None, :]
     )
-    apart = _circles_apart(pred_rects, truth_rects)
+    apart = _separated(pred_rects, truth_rects)
     matched = False
     best_j = 0.0
     for pr, row_apart, row_angles in zip(pred_rects, apart.tolist(), angles.tolist()):

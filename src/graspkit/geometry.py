@@ -27,6 +27,12 @@ class DegenerateGraspError(ValueError):
     """Keypoint pair with coincident points cannot define a grasp."""
 
 
+def _round_half_even(q):
+    """``np.round`` of a finite float: half to even, and a zero result keeps
+    the sign of ``q``, so ``-0.0`` folds to ``+0.0`` as on the array path."""
+    return math.copysign(round(q), q)
+
+
 def wrap_angle(theta):
     """Fold an angle (radians) into (-pi/2, pi/2] modulo pi.
 
@@ -34,6 +40,14 @@ def wrap_angle(theta):
     that differ by pi, and -pi/2 maps to +pi/2 so each grasp has one
     canonical angle.
     """
+    if type(theta) is float and math.isfinite(theta):
+        # the array path's IEEE operations on one Python float
+        t = theta - _round_half_even(theta / math.pi) * math.pi
+        if t <= -HALF_PI:
+            t += math.pi
+        elif t > HALF_PI:
+            t -= math.pi
+        return t
     t = np.asarray(theta, dtype=float)
     t = t - np.round(t / math.pi) * math.pi
     t = np.where(t <= -HALF_PI, t + math.pi, t)
@@ -48,6 +62,10 @@ def angle_diff(a, b):
 
     -89 deg and +89 deg are 2 deg apart under gripper symmetry.
     """
+    if type(a) is float and type(b) is float:
+        d = a - b
+        if math.isfinite(d):
+            return abs(d - _round_half_even(d / math.pi) * math.pi)
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     d = np.abs(d - np.round(d / math.pi) * math.pi)
     if np.ndim(a) == 0 and np.ndim(b) == 0:
@@ -112,12 +130,16 @@ def pair_to_grasp(pair):
     Center is the midpoint, w the Euclidean keypoint distance, theta the
     angle of (right - left) from the +x axis folded into (-pi/2, pi/2].
     """
-    lx, ly = pair.left
-    rx, ry = pair.right
+    return _center_form(*pair.left, *pair.right)
+
+
+def _center_form(lx, ly, rx, ry):
+    """:func:`pair_to_grasp` on the points (lx, ly) and (rx, ry), given in
+    canonical order, without building a :class:`KeypointPair`."""
     dx, dy = rx - lx, ry - ly
     w = math.hypot(dx, dy)
     if w == 0.0:
-        raise DegenerateGraspError(f"coincident keypoints {pair.left}")
+        raise DegenerateGraspError(f"coincident keypoints {(lx, ly)}")
     return Grasp((lx + rx) / 2, (ly + ry) / 2, wrap_angle(math.atan2(dy, dx)), w)
 
 
@@ -311,7 +333,7 @@ def _read_records(source):
             continue
         try:
             rec = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or an over-long int
             raise ValueError(f"line {lineno}: invalid JSON: {exc}") from exc
         try:
             grasp = grasp_from_record(rec)

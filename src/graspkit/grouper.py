@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import DetectedKeypoint, decode_bundle
-from .geometry import KeypointPair, angle_diff, class_to_angle, pair_to_grasp, wrap_angle
+from .geometry import _center_form, angle_diff, class_to_angle, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -150,9 +150,12 @@ def group_candidates(bundle, thresholds, k=100, suppress=True):
 
 
 def group(bundle, thresholds, k=100, suppress=True):
-    """Ranked center-form grasps for a bundle (possibly empty)."""
-    grasps = []
-    for cand in group_candidates(bundle, thresholds, k=k, suppress=suppress):
-        pair = KeypointPair.of((cand.left.x, cand.left.y), (cand.right.x, cand.right.y))
-        grasps.append(pair_to_grasp(pair))
-    return grasps
+    """Ranked center-form grasps for a bundle (possibly empty).
+
+    A candidate's keypoints are already in canonical order, so its grasp is
+    built from them directly, without a :class:`KeypointPair` round trip.
+    """
+    return [
+        _center_form(cand.left.x, cand.left.y, cand.right.x, cand.right.y)
+        for cand in group_candidates(bundle, thresholds, k=k, suppress=suppress)
+    ]

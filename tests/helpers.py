@@ -4,7 +4,15 @@ import math
 
 import numpy as np
 
-from graspkit import EncoderConfig, Grasp, HeatmapBundle, OrientedRect, ideal_bundle, losses
+from graspkit import (
+    EncoderConfig,
+    Grasp,
+    HeatmapBundle,
+    OrientedRect,
+    ideal_bundle,
+    losses,
+    suppress_non_maxima,
+)
 from graspkit.checks import random_bundle, separated_grasps as random_separated_grasps  # noqa: F401
 
 
@@ -37,6 +45,45 @@ def iou_rasterized(rect_a, rect_b, resolution=1000):
     if union == 0:
         return 0.0
     return np.count_nonzero(in_a & in_b) / union
+
+
+def circles_apart_reference(rects_a, rects_b, margin=1e-6):
+    """Circumscribed-circle separation test: (len(a), len(b)) mask of pairs
+    whose circles are apart by more than ``margin`` times the coordinate
+    scale.  The evaluator's separating-axis test must reject each of them."""
+    def centers_radii(rects):
+        xy = np.array([r.center for r in rects], dtype=float)
+        radii = np.array([math.hypot(r.width, r.height) / 2 for r in rects])
+        return xy, radii
+
+    xy_a, ra = centers_radii(rects_a)
+    xy_b, rb = centers_radii(rects_b)
+    gap = xy_a[:, None, :] - xy_b[None, :, :]
+    dist = np.hypot(gap[..., 0], gap[..., 1])
+    reach = ra[:, None] + rb[None, :]
+    scale = reach + np.abs(xy_a).sum(axis=1)[:, None] + np.abs(xy_b).sum(axis=1)[None, :]
+    return dist - reach > margin * scale
+
+
+def select_reference(heatmaps, embeddings, offsets, k, ratio):
+    """Top-k keypoints as (x, y, class, score, embedding) tuples: suppress
+    the whole stack, then fully sort its positive entries by score
+    descending and flat index ascending."""
+    stack = suppress_non_maxima(heatmaps)
+    if stack.ndim == 2:
+        stack = stack[None]
+    n_cls, h, w = stack.shape
+    flat = stack.reshape(-1)
+    nz = np.flatnonzero(flat > 0)
+    top = nz[np.lexsort((nz, -flat[nz]))[:k]]
+    cls, rem = top // (h * w), top % (h * w)
+    rows, cols = rem // w, rem % w
+    xs = np.clip((cols + offsets[0, rows, cols]) * ratio, 0.0, w * ratio)
+    ys = np.clip((rows + offsets[1, rows, cols]) * ratio, 0.0, h * ratio)
+    return [
+        (float(xs[i]), float(ys[i]), int(cls[i]), float(flat[top[i]]), float(embeddings[rows[i], cols[i]]))
+        for i in range(top.size)
+    ]
 
 
 def gripper_regions_reference(g, model, shape):

@@ -25,6 +25,7 @@ from graspkit import (
     write_bundle,
     write_gktb,
 )
+from graspkit.bundle import CANONICAL_PLANES
 from helpers import random_bundle
 
 
@@ -267,6 +268,20 @@ def test_write_bundle_bytes_are_pinned():
     assert hashlib.sha256(blob).hexdigest() == want
 
 
+def test_write_gives_one_stream_for_any_plane_layout_and_counts_its_bytes():
+    # planes are written straight from C-contiguous little-endian float32
+    # memory, so strided, float64 and big-endian planes must be converted first
+    base = np.random.default_rng(18).random((2, 6, 10), dtype=np.float32)
+    want = io.BytesIO()
+    nbytes = write_gktb(want, [("p", base)], num_classes=0, downsample_ratio=1)
+    assert nbytes == len(want.getvalue())
+    wide = np.repeat(base, 2, axis=2)
+    for plane in (np.asfortranarray(base), wide[:, :, ::2], base.astype(np.float64), base.astype(">f4")):
+        buf = io.BytesIO()
+        assert write_gktb(buf, [("p", plane)], num_classes=0, downsample_ratio=1) == nbytes
+        assert buf.getvalue() == want.getvalue()
+
+
 def test_header_center_count_two_rejected():
     b = random_bundle(np.random.default_rng(13))
     planes = [(n, np.concatenate([arr, arr]) if n == "center" else arr) for n, arr in b.planes()]
@@ -316,6 +331,29 @@ def test_validate_finite_test_precedes_range_tests():
     b.left[0, 0, 0] = 1.5  # out of range, but embedR's NaN is reported first
     with pytest.raises(PayloadError, match="plane embedR"):
         b.validate()
+
+
+def test_float64_overflow_in_a_bundle_plane_is_payload_error_without_warning():
+    b = random_bundle(np.random.default_rng(16))
+    planes = {name: getattr(b, name) for name in CANONICAL_PLANES}
+    planes["embedL"] = np.full(b.embedL.shape, 1e39)  # finite float64, inf as float32
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's cast warning would raise here
+        bundle = HeatmapBundle(**planes, num_classes=b.num_classes, downsample_ratio=b.downsample_ratio)
+    with pytest.raises(PayloadError, match="plane embedL: non-finite"):
+        bundle.validate()
+
+
+def test_read_planes_are_writable_little_endian_float32_and_independent():
+    b = random_bundle(np.random.default_rng(17))
+    blob = serialized(b)
+    _, planes = read_gktb(io.BytesIO(blob))
+    for name, arr in planes:
+        assert arr.dtype == np.dtype("<f4") and arr.flags.writeable, name
+        arr[...] = 0.0
+    _, again = read_gktb(io.BytesIO(blob))
+    assert all(np.array_equal(a, p) for (_, a), (_, p) in zip(again, b.planes()))
+    assert all(not arr.any() for _, arr in planes)
 
 
 _A = np.ones((1, 2, 2), np.float32)

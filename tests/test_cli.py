@@ -343,6 +343,14 @@ def test_evaluate_overflowing_prediction_prints_one_error_line(tmp_path):
     assert_data_error(proc)
 
 
+def test_over_long_integer_annotation_is_data_error(tmp_path, annotations):
+    bad = tmp_path / "long.jsonl"
+    bad.write_text('{"x": 1' + "0" * 5000 + ', "y": 30, "theta_deg": 0, "w": 20}\n')
+    proc = run_cli("evaluate", "--pred", str(bad), "--truth", str(annotations), "--profile", "cornell")
+    assert_data_error(proc)
+    assert "line 1" in proc.stderr
+
+
 _DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 

@@ -5,7 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from graspkit import decoder
 from graspkit import (
     EncoderConfig,
     Grasp,
@@ -15,7 +19,7 @@ from graspkit import (
     select_grasp_keypoints,
     suppress_non_maxima,
 )
-from helpers import random_separated_grasps
+from helpers import random_separated_grasps, select_reference
 
 CFG = EncoderConfig(image_height=228, image_width=228, num_classes=18, downsample_ratio=4)
 
@@ -202,23 +206,6 @@ def test_top_k_cut_keeps_class_row_col_order_among_ties():
     assert order == [(2, 1, 1), (0, 7, 7), (0, 1, 10), (0, 10, 4)]
 
 
-def _select_reference(heatmaps, embeddings, offsets, k, ratio):
-    """Full-sort top-k of the positive entries, without the partition cut."""
-    stack = suppress_non_maxima(heatmaps)
-    n_cls, h, w = stack.shape
-    flat = stack.reshape(-1)
-    nz = np.flatnonzero(flat > 0)
-    top = nz[np.lexsort((nz, -flat[nz]))[:k]]
-    cls, rem = top // (h * w), top % (h * w)
-    rows, cols = rem // w, rem % w
-    xs = np.clip((cols + offsets[0, rows, cols]) * ratio, 0.0, w * ratio)
-    ys = np.clip((rows + offsets[1, rows, cols]) * ratio, 0.0, h * ratio)
-    return [
-        (float(xs[i]), float(ys[i]), int(cls[i]), float(flat[top[i]]), float(embeddings[rows[i], cols[i]]))
-        for i in range(top.size)
-    ]
-
-
 @pytest.mark.parametrize("k", [1, 7, 40, 100, 5000])
 def test_select_matches_full_sort_reference_with_ties(k):
     rng = np.random.default_rng(k)
@@ -228,7 +215,98 @@ def test_select_matches_full_sort_reference_with_ties(k):
     off = rng.random((2, 20, 20), dtype=np.float32)
     kps = select_grasp_keypoints(heat, embed, off, k=k, ratio=4)
     got = [(kp.x, kp.y, kp.class_index, kp.score, kp.embedding) for kp in kps]
-    assert got == _select_reference(heat, embed, off, k, 4)
+    assert got == select_reference(heat, embed, off, k, 4)
+
+
+def _keypoints(heat, k):
+    """select_grasp_keypoints on ``heat`` with seeded embeddings and offsets,
+    as tuples comparable with :func:`select_reference`."""
+    h, w = heat.shape[-2:]
+    rng = np.random.default_rng(h * 100 + w)
+    embed = rng.normal(size=(h, w)).astype(np.float32)
+    off = rng.random((2, h, w), dtype=np.float32)
+    kps = select_grasp_keypoints(heat, embed, off, k=k, ratio=4)
+    got = [(kp.x, kp.y, kp.class_index, kp.score, kp.embedding) for kp in kps]
+    return got, select_reference(heat, embed, off, k, 4)
+
+
+# Few levels make ties and plateaus; zeros, -0.0, negatives, NaN and +-inf
+# test the positive-only candidates and the peak test's NaN rule.
+_LEVELS = st.sampled_from([0.0, -0.0, -1.0, 0.25, 0.5, 1.0, np.nan, np.inf, -np.inf])
+_VALUES = st.one_of(_LEVELS, st.floats(-1.0, 1.0, width=32))
+_SHAPES = st.one_of(hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=16),
+                    hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=12))
+
+
+@st.composite
+def _dense_stacks(draw):
+    """Mostly positive stacks with coarse levels, so the top 4k ties and
+    plateaus, with a sprinkling of the special values."""
+    shape = draw(hnp.array_shapes(min_dims=3, max_dims=3, min_side=4, max_side=24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(2, 64))
+    heat = (rng.integers(1, levels + 1, size=shape) / levels).astype(np.float32)
+    special = rng.random(shape) < draw(st.sampled_from([0.0, 0.01, 0.1]))
+    heat[special] = rng.choice(np.array([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf], np.float32), special.sum())
+    return heat
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_select_equals_whole_stack_suppression_then_sort(data):
+    heat = data.draw(st.one_of(hnp.arrays(np.float32, _SHAPES, elements=_VALUES), _dense_stacks()))
+    # small k against the pixel count reaches the top-4k candidate branch
+    k = data.draw(st.one_of(st.integers(1, 4), st.integers(1, heat.size + 3)))
+    got, expected = _keypoints(heat, k)
+    assert got == expected
+
+
+@pytest.fixture
+def suppress_calls(monkeypatch):
+    """Counts the whole-stack suppressions select_grasp_keypoints runs."""
+    calls = []
+    whole = decoder.suppress_non_maxima
+    monkeypatch.setattr(decoder, "suppress_non_maxima", lambda stack: calls.append(1) or whole(stack))
+    return calls
+
+
+def _isolated_peaks(rng, shape, n):
+    heat = np.zeros(shape, np.float32)
+    flat = heat.reshape(-1)
+    flat[rng.choice(flat.size, size=n, replace=False)] = rng.random(n, dtype=np.float32) + np.float32(0.01)
+    return heat
+
+
+def test_few_positives_are_all_tested(suppress_calls):
+    heat = _isolated_peaks(np.random.default_rng(1), (18, 57, 57), 600)  # 600 > 4k, far under the bound
+    got, expected = _keypoints(heat, 100)
+    assert got == expected and len(got) == 100
+    assert suppress_calls == []
+
+
+def test_dense_plane_top_4k_candidates_suffice(suppress_calls):
+    heat = np.random.default_rng(2).random((18, 57, 57), dtype=np.float32)
+    got, expected = _keypoints(heat, 100)
+    assert got == expected and len(got) == 100
+    assert suppress_calls == []
+
+
+def test_top_4k_candidates_without_k_peaks_fall_back(suppress_calls):
+    # one broad bump per plane: 4k candidates on its slopes, 1 peak each
+    yy, xx = np.mgrid[0:57, 0:57]
+    bump = np.exp(-((yy - 28.0) ** 2 + (xx - 20.0) ** 2) / 400.0)
+    heat = np.stack([bump * (c + 1) / 18 for c in range(18)]).astype(np.float32)
+    got, expected = _keypoints(heat, 100)
+    assert got == expected and len(got) == 18
+    assert suppress_calls == [1]
+
+
+@pytest.mark.parametrize("shape", [(18, 57, 57), (1, 1), (3, 4, 4)])
+def test_constant_plane_falls_back(suppress_calls, shape):
+    heat = np.full(shape, 0.5, np.float32)  # every pixel is a peak
+    got, expected = _keypoints(heat, 100)
+    assert got == expected and len(got) == min(100, heat.size)
+    assert suppress_calls == [1]
 
 
 def test_import_does_not_load_scipy():

@@ -24,8 +24,8 @@ from graspkit import (
     measure_fps,
     rotated_iou,
 )
-from graspkit.evaluator import _circles_apart
-from helpers import clutter_bundle
+from graspkit.evaluator import _separated
+from helpers import circles_apart_reference, clutter_bundle
 
 CORNELL_CRIT = MatchCriteria(eval_height=23.33)
 AJD_CRIT = MatchCriteria(eval_height=20.0)
@@ -249,9 +249,47 @@ def test_circle_pre_rejection_implies_zero_iou(center, size_a, size_b, thetas, d
     offset = reach * (1.0 + slack)
     b_center = (center[0] + offset * math.cos(direction), center[1] + offset * math.sin(direction))
     b = OrientedRect(b_center, *size_b, thetas[1])
-    if _circles_apart([a], [b])[0, 0]:
+    if circles_apart_reference([a], [b])[0, 0]:
         assert rotated_iou(a, b) == 0.0
         assert rotated_iou(b, a) == 0.0
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    center=st.tuples(_coord, _coord),
+    size_a=st.tuples(_side, _side),
+    size_b=st.tuples(_side, _side),
+    thetas=st.tuples(_angle, _angle),
+    direction=st.floats(0.0, 2 * math.pi),
+    reach_share=st.floats(0.3, 1.1),
+)
+def test_separating_axis_rejection_implies_zero_iou_and_covers_circle_test(
+    center, size_a, size_b, thetas, direction, reach_share
+):
+    """A pair the separating-axis test rejects has a rotated IoU of exactly
+    0.0, and every pair the circle test rejects is rejected.  The second
+    center sits from well inside to just beyond the distance where the
+    circumscribed circles touch: near misses and overlaps."""
+    a = OrientedRect(center, *size_a, thetas[0])
+    offset = (math.hypot(*size_a) + math.hypot(*size_b)) / 2 * reach_share
+    b_center = (center[0] + offset * math.cos(direction), center[1] + offset * math.sin(direction))
+    b = OrientedRect(b_center, *size_b, thetas[1])
+    separated = _separated([a], [b])[0, 0]
+    if circles_apart_reference([a], [b])[0, 0]:
+        assert separated
+    if separated:
+        assert rotated_iou(a, b) == 0.0
+        assert rotated_iou(b, a) == 0.0
+
+
+def test_separating_axis_test_rejects_near_misses_the_circle_test_keeps():
+    # side by side, 1 px apart: the circumscribed circles overlap by far
+    a = OrientedRect((0.0, 0.0), 40.0, 10.0, 0.0)
+    b = OrientedRect((0.0, 11.0), 40.0, 10.0, 0.0)
+    tilted = OrientedRect((0.0, 12.0), 40.0, 10.0, 0.3)  # one corner dips into a
+    assert not circles_apart_reference([a], [b, tilted]).any()
+    assert _separated([a], [b, tilted]).tolist() == [[True, False]]
+    assert rotated_iou(a, b) == 0.0 and rotated_iou(a, tilted) > 0.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

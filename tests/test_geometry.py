@@ -2,10 +2,13 @@
 
 import io
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graspkit import (
     DegenerateGraspError,
@@ -122,6 +125,54 @@ def test_wrap_angle():
     assert angle_diff(math.radians(-89), math.radians(89)) == pytest.approx(
         math.radians(2), abs=1e-12
     )
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _quiet(fn, *args):
+    """``fn(*args)`` without numpy's warnings for inf - inf, as on a non-finite angle."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return fn(*args)
+
+
+def _array_wrap(theta):
+    return float(_quiet(wrap_angle, np.array([theta]))[0])
+
+
+def _array_diff(a, b):
+    return float(_quiet(angle_diff, np.array([a]), np.array([b]))[0])
+
+
+_HALF_PI = math.pi / 2
+_EDGE_ANGLES = [0.0, -0.0, _HALF_PI, -_HALF_PI, math.pi, -math.pi, 1e300, -1e300,
+                5e-324, -5e-324, math.nan, math.inf, -math.inf]
+_EDGE_ANGLES += [math.nextafter(v, d) for v in (_HALF_PI, -_HALF_PI) for d in (math.inf, -math.inf)]
+_EDGE_ANGLES += [(n + 0.5) * math.pi for n in range(-6, 6)]
+_EDGE_ANGLES += [math.nextafter((n + 0.5) * math.pi, d) for n in range(-6, 6) for d in (math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize("theta", _EDGE_ANGLES)
+def test_scalar_wrap_angle_equals_array_path_bitwise_on_edge_values(theta):
+    assert _bits(_quiet(wrap_angle, theta)) == _bits(_array_wrap(theta))
+    assert type(_quiet(wrap_angle, theta)) is float
+    for other in _EDGE_ANGLES:
+        assert _bits(_quiet(angle_diff, theta, other)) == _bits(_array_diff(theta, other)), other
+
+
+def test_wrap_angle_of_negative_zero_is_positive_zero():
+    assert _bits(wrap_angle(-0.0)) == _bits(0.0)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(a=st.floats(), b=st.floats())
+@example(a=-0.0, b=0.0)
+@example(a=1e300, b=-1e300)
+@example(a=math.nextafter(_HALF_PI, 0.0), b=math.nextafter(-_HALF_PI, 0.0))
+def test_scalar_angle_paths_equal_array_paths_bitwise(a, b):
+    assert _bits(_quiet(wrap_angle, a)) == _bits(_array_wrap(a))
+    assert _bits(_quiet(angle_diff, a, b)) == _bits(_array_diff(a, b))
 
 
 def test_rect_corners_ccw_and_area():
@@ -243,6 +294,14 @@ def test_annotation_readers_reject_bad_records(tmp_path, record, field):
         with pytest.raises(ValueError, match="line 3") as info:
             reader(path)
         assert field in str(info.value)
+
+
+def test_annotation_line_with_an_over_long_integer_names_the_line():
+    # beyond Python's 4300-digit limit on int parsing, which json.loads hits
+    line = '{"x": 1' + "0" * 5000 + ', "y": 2, "theta_deg": 0, "w": 8}\n'
+    for reader in (read_annotations, read_annotation_groups):
+        with pytest.raises(ValueError, match="^line 1: invalid JSON"):
+            reader(io.StringIO(line))
 
 
 def test_iou_overflow_raises_value_error_without_numpy_warnings():

@@ -15,6 +15,7 @@ from graspkit import (
     Grasp,
     GraspCandidate,
     GroupingThresholds,
+    KeypointPair,
     angle_diff,
     class_to_angle,
     decode_bundle,
@@ -25,6 +26,7 @@ from graspkit import (
     group_candidates,
     ideal_bundle,
     orientation_filter,
+    pair_to_grasp,
     wrap_angle,
 )
 from helpers import (
@@ -216,6 +218,21 @@ def test_outputs_come_from_decoded_keypoints():
     for cand in group_candidates(bundle, th, k=60):
         assert (cand.left.x, cand.left.y) in lefts
         assert (cand.right.x, cand.right.y) in rights
+
+
+@pytest.mark.parametrize("profile", [CORNELL, AJD])
+def test_group_equals_the_keypoint_pair_round_trip_exactly(profile):
+    rng = np.random.default_rng(profile.num_classes + 5)
+    total = 0
+    for n in (1, 5, 9):
+        bundle, _ = clutter_bundle(rng, profile, n)
+        expected = [
+            pair_to_grasp(KeypointPair.of((c.left.x, c.left.y), (c.right.x, c.right.y)))
+            for c in group_candidates(bundle, profile.thresholds)
+        ]
+        assert group(bundle, profile.thresholds) == expected
+        total += len(expected)
+    assert total >= 10
 
 
 def test_thresholds_validation():
