@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import angle_diff, rect_from_grasp, rotated_iou
+from .geometry import _rotated_ious, angle_diff, rect_from_grasp
+from .geometry import rotated_iou  # noqa: F401  (bench/spans.py traces it under this module)
 
 
 class PairingError(ValueError):
@@ -106,7 +107,7 @@ def _separated(rects_a, rects_b):
         ).T
         return x, y, np.cos(theta), np.sin(theta), hw, hh
 
-    # an overflow to inf or NaN leaves the pair to rotated_iou, which raises
+    # an overflow to inf or NaN leaves the pair to _rotated_ious, which raises
     with np.errstate(over="ignore", invalid="ignore"):
         xa, ya, ca, sa, wa, ha = (v[:, None] for v in frame(rects_a))
         xb, yb, cb, sb, wb, hb = frame(rects_b)
@@ -131,16 +132,14 @@ def _image_stats(preds, truths, criteria):
     angles = angle_diff(
         np.array([p.theta for p in preds])[:, None], np.array([t.theta for t in truths])[None, :]
     )
-    apart = _separated(pred_rects, truth_rects)
-    matched = False
-    best_j = 0.0
-    for pr, row_apart, row_angles in zip(pred_rects, apart.tolist(), angles.tolist()):
-        for tr, far, a in zip(truth_rects, row_apart, row_angles):
-            j = 0.0 if far else rotated_iou(pr, tr)
-            best_j = max(best_j, j)
-            if a <= criteria.max_angle_diff and j > criteria.min_jaccard:
-                matched = True
-    return matched, best_j, float(angles.min())
+    kept = ~_separated(pred_rects, truth_rects)
+    jaccard = np.zeros(kept.shape)
+    rows, cols = np.nonzero(kept)
+    n = len(pred_rects)
+    pairs = [(i, n + j) for i, j in zip(rows.tolist(), cols.tolist())]
+    jaccard[kept] = _rotated_ious(pred_rects + truth_rects, pairs)
+    matched = bool(np.any((angles <= criteria.max_angle_diff) & (jaccard > criteria.min_jaccard)))
+    return matched, float(jaccard.max()), float(angles.min())
 
 
 def evaluate_dataset(predictions, truths, criteria, policy="top1"):

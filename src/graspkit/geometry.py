@@ -49,7 +49,8 @@ def wrap_angle(theta):
             t -= math.pi
         return t
     t = np.asarray(theta, dtype=float)
-    t = t - np.round(t / math.pi) * math.pi
+    with np.errstate(invalid="ignore"):  # inf - inf: an infinite angle gives NaN
+        t = t - np.round(t / math.pi) * math.pi
     t = np.where(t <= -HALF_PI, t + math.pi, t)
     t = np.where(t > HALF_PI, t - math.pi, t)
     if np.ndim(theta) == 0:
@@ -66,8 +67,9 @@ def angle_diff(a, b):
         d = a - b
         if math.isfinite(d):
             return abs(d - _round_half_even(d / math.pi) * math.pi)
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    d = np.abs(d - np.round(d / math.pi) * math.pi)
+    with np.errstate(invalid="ignore"):  # inf - inf: an infinite angle gives NaN
+        d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+        d = np.abs(d - np.round(d / math.pi) * math.pi)
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return float(d)
     return d
@@ -191,12 +193,7 @@ class OrientedRect:
 
     def corners(self):
         """4x2 array of vertices, counterclockwise (positive shoelace area)."""
-        cx, cy = self.center
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        hw, hh = self.width / 2, self.height / 2
-        local = np.array([(-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh)])
-        rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + (cx, cy)
+        return _corners([self])[0]
 
     @property
     def area(self):
@@ -243,18 +240,56 @@ def _rect_frame(center, theta, half_u, half_v, shape):
     return (slice(r0, r1), slice(c0, c1)), np.abs(u, out=u), np.abs(v, out=v)
 
 
-def _shoelace(poly):
-    x = poly[:, 0]
-    y = poly[:, 1]
-    # the values of np.roll(v, -1), without its overhead
-    x_next = np.concatenate((x[1:], x[:1]))
-    y_next = np.concatenate((y[1:], y[:1]))
-    return 0.5 * abs(float(np.dot(x, y_next) - np.dot(y, x_next)))
+def _corners(rects):
+    """(N, 4, 2) array of the rectangles' vertices, each counterclockwise.
+
+    One stacked ``local @ rot.T + center`` matmul: the same BLAS product for
+    one rectangle as for many, where an elementwise formula would round the
+    multiply-adds differently.
+    """
+    rows = []
+    for r in rects:
+        hw, hh = r.width / 2, r.height / 2
+        c, s = math.cos(r.theta), math.sin(r.theta)
+        rows.append((-hw, -hh, hw, -hh, hw, hh, -hw, hh, c, s, -s, c, *r.center))
+    m = np.array(rows, dtype=float)
+    return m[:, :8].reshape(-1, 4, 2) @ m[:, 8:12].reshape(-1, 2, 2) + m[:, None, 12:]
+
+
+def _shoelace(polys):
+    """Areas of the (N, n, 2) array ``polys`` of n-gons.
+
+    Each cross-product sum is one BLAS ``ddot`` on a stride-2 coordinate
+    column, as ``np.dot`` of one polygon's columns computes it.  ``ddot``
+    sums in an order that depends on n, so only polygons of one vertex
+    count may share a call; zero-padding would change the digits.
+    """
+    x = polys[..., 0]
+    y = polys[..., 1]
+    x_next = np.concatenate((x[:, 1:], x[:, :1]), axis=1)
+    y_next = np.concatenate((y[:, 1:], y[:, :1]), axis=1)
+    cross = np.matmul(x[:, None, :], y_next[:, :, None]) - np.matmul(y[:, None, :], x_next[:, :, None])
+    return 0.5 * np.abs(cross[:, 0, 0])
+
+
+def _polygon_areas(polys):
+    """Shoelace area of each polygon of a list of vertex lists, with one
+    :func:`_shoelace` call per vertex count; 0.0 below three vertices."""
+    areas = [0.0] * len(polys)
+    by_count = {}
+    for k, poly in enumerate(polys):
+        if len(poly) >= 3:
+            by_count.setdefault(len(poly), []).append(k)
+    for ks in by_count.values():
+        for k, area in zip(ks, _shoelace(np.array([polys[k] for k in ks])).tolist()):
+            areas[k] = area
+    return areas
 
 
 def _clip_convex(subject, clip):
     """Sutherland-Hodgman clip of a convex subject polygon by a convex CCW
-    clip polygon.  Points exactly on a clip edge count as inside."""
+    clip polygon, on Python floats.  Points exactly on a clip edge count as
+    inside."""
     output = [tuple(p) for p in subject]
     n = len(clip)
     for i in range(n):
@@ -273,12 +308,54 @@ def _clip_convex(subject, clip):
                 # segment crosses the clip line; solve for the intersection
                 dx, dy = px - sx, py - sy
                 denom = ex * dy - ey * dx
-                t = (ex * (ay - sy) - ey * (ax - sx)) / denom
-                output.append((sx + t * dx, sy + t * dy))
+                # A zero denominator means a segment along the clip line
+                # whose ends rounding put on both sides of it.  The inside
+                # end is on the line already, and the neighbouring edge's
+                # crossing stands in for the outside one.
+                if denom:
+                    t = (ex * (ay - sy) - ey * (ax - sx)) / denom
+                    output.append((sx + t * dx, sy + t * dy))
             if p_in:
                 output.append((px, py))
             sx, sy, s_in = px, py, p_in
     return output
+
+
+def _rotated_ious(rects, pairs):
+    """:func:`rotated_iou` of ``rects[i]`` and ``rects[j]`` for each index
+    pair ``(i, j)``, as a list.
+
+    Corners and areas are computed once per rectangle that some pair uses,
+    the clip of each pair runs on Python floats, and the intersection areas
+    take one shoelace call per vertex count.  Raises ``ValueError`` at the
+    first pair, in order, whose areas overflow.
+    """
+    slot = {}
+    for i, j in pairs:
+        slot.setdefault(i, len(slot))
+        slot.setdefault(j, len(slot))
+    if not slot:
+        return []
+    used = [rects[i] for i in slot]
+    keys = [(r.center, r.width, r.height, r.theta) for r in used]
+    ordered = []
+    for i, j in pairs:
+        a, b = slot[i], slot[j]
+        # canonical order, so the result is exactly symmetric
+        ordered.append((b, a) if keys[b] < keys[a] else (a, b))
+    # an overflow shows as a non-finite union below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        corners = _corners(used)
+        areas = _shoelace(corners).tolist()
+        corners = corners.tolist()
+        inters = _polygon_areas([_clip_convex(corners[a], corners[b]) for a, b in ordered])
+    ious = []
+    for (a, b), inter in zip(ordered, inters):
+        union = areas[a] + areas[b] - inter
+        if not math.isfinite(union):
+            raise ValueError(f"rectangle areas overflow: {areas[a]}, {areas[b]}, intersection {inter}")
+        ious.append(0.0 if union <= 0.0 else min(1.0, inter / union))
+    return ious
 
 
 def rotated_iou(a, b):
@@ -289,22 +366,7 @@ def rotated_iou(a, b):
     before clipping so the result is exactly symmetric.  Raises
     ``ValueError`` when an area overflows the float range.
     """
-    if (b.center, b.width, b.height, b.theta) < (a.center, a.width, a.height, a.theta):
-        a, b = b, a
-    # an overflow shows as a non-finite union below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        pa = a.corners()
-        pb = b.corners()
-        inter_poly = _clip_convex(pa, pb)
-        inter = _shoelace(np.asarray(inter_poly)) if len(inter_poly) >= 3 else 0.0
-        area_a = _shoelace(pa)
-        area_b = _shoelace(pb)
-    union = area_a + area_b - inter
-    if not math.isfinite(union):
-        raise ValueError(f"rectangle areas overflow: {area_a}, {area_b}, intersection {inter}")
-    if union <= 0.0:
-        return 0.0
-    return min(1.0, inter / union)
+    return _rotated_ious([a, b], [(0, 1)])[0]
 
 
 def _finite_number(value):

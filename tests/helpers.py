@@ -1,8 +1,10 @@
 """Shared test fixtures: independent oracles and seeded generators."""
 
+import json
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from graspkit import (
     EncoderConfig,
@@ -45,6 +47,97 @@ def iou_rasterized(rect_a, rect_b, resolution=1000):
     if union == 0:
         return 0.0
     return np.count_nonzero(in_a & in_b) / union
+
+
+def corners_reference(rect):
+    """4x2 corners of a rectangle from its own 2-D matmul."""
+    cx, cy = rect.center
+    c, s = math.cos(rect.theta), math.sin(rect.theta)
+    hw, hh = rect.width / 2, rect.height / 2
+    local = np.array([(-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh)])
+    rot = np.array([[c, -s], [s, c]])
+    return local @ rot.T + (cx, cy)
+
+
+def _shoelace_reference(poly):
+    x = poly[:, 0]
+    y = poly[:, 1]
+    # the values of np.roll(v, -1), without its overhead
+    x_next = np.concatenate((x[1:], x[:1]))
+    y_next = np.concatenate((y[1:], y[:1]))
+    return 0.5 * abs(float(np.dot(x, y_next) - np.dot(y, x_next)))
+
+
+def clip_convex_reference(subject, clip):
+    """Sutherland-Hodgman clip of a convex subject polygon by a convex CCW
+    clip polygon.  Points exactly on a clip edge count as inside."""
+    output = [tuple(p) for p in subject]
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            return []
+        ax, ay = clip[i]
+        bx, by = clip[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+        inputs = output
+        output = []
+        sx, sy = inputs[-1]
+        s_in = ex * (sy - ay) - ey * (sx - ax) >= 0.0
+        for px, py in inputs:
+            p_in = ex * (py - ay) - ey * (px - ax) >= 0.0
+            if p_in != s_in:
+                # segment crosses the clip line; solve for the intersection
+                dx, dy = px - sx, py - sy
+                denom = ex * dy - ey * dx
+                t = (ex * (ay - sy) - ey * (ax - sx)) / denom
+                output.append((sx + t * dx, sy + t * dy))
+            if p_in:
+                output.append((px, py))
+            sx, sy, s_in = px, py, p_in
+    return output
+
+
+def rotated_iou_reference(a, b):
+    """Pair-at-a-time rotated IoU: corners per rectangle, the clip on
+    ``np.float64`` scalars and one ``np.dot`` shoelace per polygon.
+
+    The kernel behind ``graspkit.rotated_iou`` must equal it bit for bit
+    wherever this clip does not divide by zero (see
+    :func:`reference_clip_divides_by_zero`); where it does, numpy warns and
+    the vertex is infinite or NaN.
+    """
+    if (b.center, b.width, b.height, b.theta) < (a.center, a.width, a.height, a.theta):
+        a, b = b, a
+    # an overflow shows as a non-finite union below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        pa = corners_reference(a)
+        pb = corners_reference(b)
+        inter_poly = clip_convex_reference(pa, pb)
+        inter = _shoelace_reference(np.asarray(inter_poly)) if len(inter_poly) >= 3 else 0.0
+        area_a = _shoelace_reference(pa)
+        area_b = _shoelace_reference(pb)
+    union = area_a + area_b - inter
+    if not math.isfinite(union):
+        raise ValueError(f"rectangle areas overflow: {area_a}, {area_b}, intersection {inter}")
+    if union <= 0.0:
+        return 0.0
+    return min(1.0, inter / union)
+
+
+def reference_clip_divides_by_zero(a, b):
+    """True when :func:`rotated_iou_reference`'s clip of two rectangles
+    divides by zero: rounding left a crossing segment parallel to the clip
+    line.  The clip runs here on Python floats, whose arithmetic gives the
+    same values as ``np.float64`` but raises ``ZeroDivisionError`` there."""
+    if (b.center, b.width, b.height, b.theta) < (a.center, a.width, a.height, a.theta):
+        a, b = b, a
+    with np.errstate(over="ignore", invalid="ignore"):
+        subject, clip = corners_reference(a).tolist(), corners_reference(b).tolist()
+    try:
+        clip_convex_reference(subject, clip)
+    except ZeroDivisionError:
+        return True
+    return False
 
 
 def circles_apart_reference(rects_a, rects_b, margin=1e-6):
@@ -347,3 +440,50 @@ def gradcheck_battery_reference(seed=0, points=100, step=1e-5, tolerance=1e-4):
     passed = all(entry["passed"] for entry in results.values())
     return {"seed": seed, "points": points, "step": step, "tolerance": tolerance,
             "losses": results, "passed": passed}
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+_RECORD_FIELDS = {
+    "x": st.floats(-50.0, 300.0),
+    "y": st.floats(-50.0, 300.0),
+    "theta_deg": st.floats(-720.0, 720.0),
+    "w": st.floats(0.5, 120.0) | st.integers(1, 10**30),
+    "h": st.none() | st.floats(0.5, 40.0),
+    "image_id": st.sampled_from(["a", 0]),
+}
+
+
+@st.composite
+def _record_line(draw, corrupt):
+    """One JSON record line; ``corrupt`` lets a field go missing or take an
+    arbitrary JSON value."""
+    record = {name: draw(values) for name, values in _RECORD_FIELDS.items()}
+    if corrupt:
+        for name in draw(st.sets(st.sampled_from(sorted(record)), max_size=2)):
+            if draw(st.booleans()):
+                del record[name]
+            else:
+                record[name] = draw(_JSON_VALUES)
+    return json.dumps(record)
+
+
+@st.composite
+def _corrupt_text(draw):
+    lines = draw(st.lists(_record_line(corrupt=True), max_size=5))
+    text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
+    junk = st.just("") | _JSON_VALUES.map(json.dumps) | text
+    for line in draw(st.lists(junk, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines)
+
+
+# Text of an annotation file: half of the files hold only valid records,
+# the other half corrupted records mixed with blank lines, other JSON and
+# arbitrary text.
+annotation_texts = st.lists(_record_line(corrupt=False), max_size=5).map("\n".join) | _corrupt_text()

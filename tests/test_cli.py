@@ -1,11 +1,16 @@
 """End-to-end CLI behavior: subcommands, JSON output, exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from graspkit import (
     DepthImage,
@@ -14,6 +19,8 @@ from graspkit import (
     write_depth_gktb,
     write_gktb,
 )
+from graspkit.cli import main
+from helpers import annotation_texts
 
 
 def run_cli(*args, cwd=None):
@@ -383,3 +390,25 @@ def test_encode_zero_size_image_is_data_error(tmp_path, size):
                    "--image-size", size, "--out", str(out))
     assert_data_error(proc)
     assert not out.exists()
+
+
+@settings(max_examples=150, deadline=None)
+@given(pred=annotation_texts, truth=annotation_texts)
+def test_evaluate_on_fuzzed_annotation_files_exits_cleanly(pred, truth):
+    """In process: exit 0 with a JSON report, or exit 2 with one ``error:``
+    line; never an uncaught exception or a warning."""
+    with tempfile.TemporaryDirectory() as tmp:
+        pred_path, truth_path = Path(tmp) / "pred.jsonl", Path(tmp) / "truth.jsonl"
+        pred_path.write_text(pred, encoding="utf-8")
+        truth_path.write_text(truth, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["evaluate", "--pred", str(pred_path), "--truth", str(truth_path), "--profile", "cornell"])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert set(json.loads(out.getvalue())) == {"total", "correct", "accuracy", "fps", "per_image"}
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()

@@ -23,6 +23,7 @@ from graspkit import (
     is_match,
     measure_fps,
     rotated_iou,
+    wrap_angle,
 )
 from graspkit.evaluator import _separated
 from helpers import circles_apart_reference, clutter_bundle
@@ -218,12 +219,20 @@ def test_image_stats_match_all_pairs_reference(profile):
         for dx in np.linspace(0.0, 60.0, 13).tolist()
     ]
     truths["shifted"] = truths["9"]
+    # 100 predictions x 5 truths: jittered copies, some overlapping, some not
+    predictions["100x5"] = [
+        Grasp(g.x + dx, g.y + dy, wrap_angle(g.theta + dt), g.w * scale)
+        for g in truths["5"]
+        for dx, dy, dt, scale in rng.normal((0.0, 0.0, 0.0, 1.0), (15.0, 15.0, 0.4, 0.2), (20, 4)).tolist()
+    ]
+    truths["100x5"] = truths["5"]
     predictions["empty"], truths["empty"] = [], truths["1"]
     report = evaluate_dataset(predictions, truths, crit, policy="topn")
     for result in report.per_image:
         expected = _image_stats_reference(predictions[result.image_id], truths[result.image_id], crit)
         assert (result.matched, result.best_jaccard, result.best_angle_diff) == expected
     assert 0 < report.correct < report.total
+    assert len(predictions["100x5"]) == 100
 
 
 _coord = st.floats(-1000.0, 1000.0, allow_nan=False)
@@ -290,6 +299,16 @@ def test_separating_axis_test_rejects_near_misses_the_circle_test_keeps():
     assert not circles_apart_reference([a], [b, tilted]).any()
     assert _separated([a], [b, tilted]).tolist() == [[True, False]]
     assert rotated_iou(a, b) == 0.0 and rotated_iou(a, tilted) > 0.0
+
+
+def test_prediction_on_a_truth_matches_at_the_profile_height():
+    # same center, width and angle; the prediction's rectangle is taller, so
+    # the short edges are collinear (this one once raised "areas overflow")
+    truth = Grasp(36.52031583294033, 36.75912897579344, -0.6379087388378138, 29.05790484402766, 12.869723226770699)
+    pred = Grasp(truth.x, truth.y, truth.theta, truth.w)
+    assert is_match(pred, truth, AJD_CRIT)
+    report = evaluate_dataset({"0": [pred]}, {"0": [truth]}, AJD_CRIT)
+    assert report.per_image[0].best_jaccard == pytest.approx(12.869723226770699 / 20.0, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import struct
 import warnings
 
@@ -26,7 +27,15 @@ from graspkit import (
     wrap_angle,
     write_annotations,
 )
-from helpers import iou_rasterized, random_rect
+from graspkit.geometry import _clip_convex, _rotated_ious
+from helpers import (
+    annotation_texts,
+    corners_reference,
+    iou_rasterized,
+    random_rect,
+    reference_clip_divides_by_zero,
+    rotated_iou_reference,
+)
 
 
 def test_pair_to_grasp_axis_aligned():
@@ -159,6 +168,19 @@ def test_scalar_wrap_angle_equals_array_path_bitwise_on_edge_values(theta):
     assert type(_quiet(wrap_angle, theta)) is float
     for other in _EDGE_ANGLES:
         assert _bits(_quiet(angle_diff, theta, other)) == _bits(_array_diff(theta, other)), other
+
+
+def test_infinite_angles_give_nan_without_warnings():
+    inf = np.array([math.inf, -math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in (math.inf, -math.inf):
+            assert math.isnan(wrap_angle(theta))
+            assert math.isnan(angle_diff(theta, theta))
+            assert math.isnan(angle_diff(0.5, theta))
+        assert np.isnan(wrap_angle(inf)).all()
+        assert np.isnan(angle_diff(inf, inf)).all()
+        assert np.isnan(angle_diff(inf[:, None], np.array([0.5, math.inf]))).all()
 
 
 def test_wrap_angle_of_negative_zero_is_positive_zero():
@@ -304,6 +326,106 @@ def test_annotation_line_with_an_over_long_integer_names_the_line():
             reader(io.StringIO(line))
 
 
+def _iou_outcome(fn, *args):
+    """``float.hex`` of an IoU, or "ValueError" for an area overflow."""
+    try:
+        return float.hex(fn(*args))
+    except ValueError as exc:
+        assert "areas overflow" in str(exc)
+        return "ValueError"
+
+
+def _kernel_outcomes(a, b):
+    try:
+        return [float.hex(v) for v in _rotated_ious([a, b], [(0, 1), (1, 0)])]
+    except ValueError as exc:
+        assert "areas overflow" in str(exc)
+        return ["ValueError"] * 2
+
+
+def _assert_kernel_matches_reference(a, b):
+    got = [_iou_outcome(rotated_iou, a, b), _iou_outcome(rotated_iou, b, a)]
+    assert _kernel_outcomes(a, b) == got
+    if max(a.width, a.height, b.width, b.height) <= 1e6:
+        assert "ValueError" not in got  # only areas near the float range raise
+    if reference_clip_divides_by_zero(a, b):
+        # the kernel leaves that crossing out and returns one symmetric value
+        assert got[0] == got[1]
+        assert got[0] == "ValueError" or 0.0 <= float.fromhex(got[0]) <= 1.0
+    else:
+        expected = _iou_outcome(rotated_iou_reference, a, b)
+        assert got == [expected, expected]
+
+
+_SIDE = st.floats(1e-6, 1e6)
+_HUGE_SIDE = st.floats(1e154, 1.7e308)
+_CENTER = st.floats(-1e6, 1e6)
+_THETA = st.sampled_from([-_HALF_PI, _HALF_PI, 0.0]) | st.floats(-_HALF_PI, _HALF_PI)
+
+
+@st.composite
+def _rect_pairs(draw):
+    kind = draw(st.sampled_from(["overlapping", "identical", "nested", "touching", "overflow"]))
+    cx, cy = draw(_CENTER), draw(_CENTER)
+    a = OrientedRect((cx, cy), draw(_SIDE), draw(_SIDE), draw(_THETA))
+    if kind == "identical":
+        return a, OrientedRect(a.center, a.width, a.height, a.theta)
+    if kind == "nested":
+        # same center and axis; a factor of 1 makes two edges collinear
+        fw, fh = (draw(st.just(1.0) | st.floats(0.01, 1.0)) for _ in range(2))
+        return a, OrientedRect(a.center, a.width * fw, a.height * fh, a.theta)
+    if kind == "touching":
+        # b beside a along a's axis: the facing edges meet up to rounding
+        bw = draw(_SIDE)
+        shift = (a.width + bw) / 2
+        c, s = math.cos(a.theta), math.sin(a.theta)
+        return a, OrientedRect((cx + shift * c, cy + shift * s), bw, a.height, a.theta)
+    if kind == "overflow":
+        return OrientedRect((cx, cy), draw(_HUGE_SIDE), draw(_SIDE | _HUGE_SIDE), draw(_THETA)), a
+    u, v = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    b_center = (cx + u * a.width, cy + v * a.height)
+    return a, OrientedRect(b_center, draw(_SIDE), draw(_SIDE), draw(_THETA))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(pair=_rect_pairs())
+def test_iou_kernel_equals_pairwise_reference_bitwise(pair):
+    _assert_kernel_matches_reference(*pair)
+
+
+def test_iou_kernel_equals_reference_for_3_to_8_clip_vertices():
+    """One kernel call over 3000 seeded pairs (many polygons per shoelace
+    call) equals the pair-at-a-time reference, and the pairs' clips have
+    every vertex count from 3 to 8.  Each rectangle's corners, one row of
+    a stacked matmul, equal its own 2-D matmul."""
+    rng = np.random.default_rng(0)
+    rects = [random_rect(rng, span=2.0) for _ in range(6000)]
+    assert all(r.corners().tobytes() == corners_reference(r).tobytes() for r in rects)
+    pairs = [(2 * k, 2 * k + 1) for k in range(3000)]
+    got = [float.hex(v) for v in _rotated_ious(rects, pairs)]
+    assert got == [float.hex(rotated_iou_reference(rects[i], rects[j])) for i, j in pairs]
+    counts = {len(_clip_convex(rects[i].corners().tolist(), rects[j].corners().tolist())) for i, j in pairs}
+    assert set(range(3, 9)) <= counts
+
+
+def test_iou_of_nested_rects_with_collinear_ends_is_their_area_ratio():
+    """Same center, width and angle, different heights: the short edges are
+    collinear, and rounding puts one corner of each on the far side of the
+    other's edge line.  The pairwise reference divided by zero there and
+    raised "areas overflow"."""
+    center, width, theta = (36.52031583294033, 36.75912897579344), 29.05790484402766, -0.6379087388378138
+    outer = OrientedRect(center, width, 20.0, theta)
+    inner = OrientedRect(center, width, 12.869723226770699, theta)
+    assert reference_clip_divides_by_zero(outer, inner)
+    with np.errstate(divide="ignore"), pytest.raises(ValueError, match="areas overflow"):
+        rotated_iou_reference(outer, inner)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        iou = rotated_iou(outer, inner)
+    assert iou == rotated_iou(inner, outer)
+    assert iou == pytest.approx(12.869723226770699 / 20.0, rel=1e-12)
+
+
 def test_iou_overflow_raises_value_error_without_numpy_warnings():
     truth = OrientedRect((50.0, 50.0), 20.0, 10.0, 0.0)
     huge = OrientedRect((50.0, 50.0), 1e308, 23.33, 0.0)
@@ -312,6 +434,18 @@ def test_iou_overflow_raises_value_error_without_numpy_warnings():
         for a, b in ((huge, truth), (truth, huge)):
             with pytest.raises(ValueError, match="areas overflow"):
                 rotated_iou(a, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=annotation_texts)
+def test_annotation_readers_parse_or_name_the_line(text):
+    for reader in (read_annotations, read_annotation_groups):
+        try:
+            reader(io.StringIO(text))
+        except ValueError as exc:
+            found = re.match(r"line (\d+): ", str(exc))
+            assert found, str(exc)
+            assert 1 <= int(found.group(1)) <= len(text.splitlines())
 
 
 def test_deeply_nested_annotation_line_is_invalid_json():
