@@ -22,10 +22,8 @@ import numpy as np
 
 from .depth import DepthImage, score_grasps
 from .encoder import EncoderConfig, ideal_bundle
-from .geometry import Grasp, grasp_to_record
+from .geometry import HALF_PI, Grasp, grasp_to_record
 from .grouper import group
-
-HALF_PI = math.pi / 2
 
 # Extra jaw opening beyond the block extent so finger footprints land on
 # clear surface; blocks narrower than the gripper interior would fail the
@@ -68,7 +66,6 @@ class SyntheticScene:
     image_height: int
     image_width: int
     surface_mm: float
-    pixels_per_mm: float
     blocks: list
 
     def render(self):
@@ -96,12 +93,15 @@ class SyntheticScene:
         self.blocks = [b for b in self.blocks if b.block_id != block_id]
 
 
-def make_scene(seed, n_objects, surface_mm=1000.0, pixels_per_mm=1.0, cell_px=120):
+def make_scene(seed, n_objects):
     """Deterministic scene with well-separated blocks on a jittered grid.
 
-    The image grows with the object count (grid of ceil(sqrt(n)) cells per
-    side, at least 3) so fingers of an oracle grasp never reach a neighbor.
+    The support surface lies at a fixed 1000 mm and each grid cell is a
+    fixed 120 px square.  The image grows with the object count (grid of
+    ceil(sqrt(n)) cells per side, at least 3) so fingers of an oracle grasp
+    never reach a neighbor.
     """
+    cell_px = 120
     if n_objects < 1:
         raise ValueError(f"need at least one object, got {n_objects}")
     rng = np.random.default_rng(seed)
@@ -130,8 +130,7 @@ def make_scene(seed, n_objects, surface_mm=1000.0, pixels_per_mm=1.0, cell_px=12
         seed=seed,
         image_height=side,
         image_width=side,
-        surface_mm=surface_mm,
-        pixels_per_mm=pixels_per_mm,
+        surface_mm=1000.0,
         blocks=blocks,
     )
 
@@ -145,9 +144,10 @@ def oracle_detector(scene):
     return detect
 
 
-def pipeline_detector(scene, thresholds, num_classes=18, k=100, seed=0):
+def pipeline_detector(scene, thresholds, num_classes=18, seed=0):
     """Detector that routes the oracle annotations through the full
-    encode -> decode -> group pipeline on an ideal heatmap bundle."""
+    encode -> decode -> group pipeline on an ideal heatmap bundle, decoding
+    the top 100 keypoints per role."""
     config = EncoderConfig(
         image_height=scene.image_height,
         image_width=scene.image_width,
@@ -159,7 +159,7 @@ def pipeline_detector(scene, thresholds, num_classes=18, k=100, seed=0):
         if not annotations:
             return []
         bundle = ideal_bundle(annotations, config, seed=seed)
-        return group(bundle, thresholds, k=k)
+        return group(bundle, thresholds)
 
     return detect
 
@@ -194,26 +194,24 @@ class BinPickLog:
         }
 
 
-def run_bin_picking(scene, detector, model, max_consecutive_failures=5, top_n=100):
+def run_bin_picking(scene, detector, model):
     """Run the sequential picking loop on ``scene`` (mutated in place).
 
-    Stops when (a) no blocks remain or (b) the same nearest object fails
-    ``max_consecutive_failures`` times in a row.  Returns a BinPickLog.
+    Each attempt scores the detector's first 100 grasps.  Stops when (a) no
+    blocks remain or (b) the same nearest object fails five times in a row.
+    Returns a BinPickLog.
     """
     log = BinPickLog(seed=scene.seed, n_objects=len(scene.blocks))
     consecutive = 0
     last_failure_key = None
     while scene.blocks:
         depth_image = scene.render()
-        grasps = list(detector(depth_image))[:top_n]
+        grasps = list(detector(depth_image))[:100]
         attempt = {"attempt": len(log.attempts) + 1}
-        best = None
-        score = None
+        best = block = None
+        success = False
         if grasps:
             best, score = score_grasps(grasps, depth_image, model)[0]
-        success = False
-        block = None
-        if best is not None:
             block = scene.block_at(best.x, best.y)
             success = (
                 score.valid
@@ -237,6 +235,6 @@ def run_bin_picking(scene, detector, model, max_consecutive_failures=5, top_n=10
             key = near.block_id if near is not None else None
             consecutive = consecutive + 1 if key == last_failure_key else 1
             last_failure_key = key
-            if consecutive >= max_consecutive_failures:
+            if consecutive >= 5:
                 break
     return log

@@ -1,7 +1,7 @@
 """Top-k keypoint extraction from heatmap bundles.
 
 Per class plane, a 3x3 local-maximum suppression zeroes non-maxima (the
-usual center/corner-decoder trick; switchable).  The 3x3 maximum is a numpy
+usual center/corner-decoder trick).  The 3x3 maximum is a numpy
 slice max over the plane zero-padded by one pixel: a max over three row
 shifts, then over three column shifts.  Then the k highest-scoring (class,
 pixel) entries survive with ties broken by ascending (class, row, col).
@@ -131,7 +131,11 @@ def _top_peaks(stack, k):
 
 
 def select_grasp_keypoints(heatmaps, embeddings, offsets, k, ratio, role="left", suppress=True):
-    """Top-k keypoints of one role; shorter list when fewer pixels score > 0."""
+    """Top-k keypoints of one role; shorter list when fewer pixels score > 0.
+
+    ``suppress=False`` ranks raw pixels, without the 3x3 suppression that
+    :func:`decode_bundle` always applies.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     stack = np.asarray(heatmaps, dtype=np.float32)
@@ -163,14 +167,10 @@ def select_grasp_keypoints(heatmaps, embeddings, offsets, k, ratio, role="left",
     ]
 
 
-def decode_bundle(bundle, k=100, suppress=True):
-    """Decode both keypoint roles of a bundle with identical rules."""
-    left = select_grasp_keypoints(
-        bundle.left, bundle.embedL, bundle.offsetL, k, bundle.downsample_ratio,
-        role="left", suppress=suppress,
-    )
-    right = select_grasp_keypoints(
-        bundle.right, bundle.embedR, bundle.offsetR, k, bundle.downsample_ratio,
-        role="right", suppress=suppress,
-    )
+def decode_bundle(bundle, k=100):
+    """Decode both keypoint roles of a bundle with identical rules, 3x3
+    suppression included."""
+    r = bundle.downsample_ratio
+    left = select_grasp_keypoints(bundle.left, bundle.embedL, bundle.offsetL, k, r, role="left")
+    right = select_grasp_keypoints(bundle.right, bundle.embedR, bundle.offsetR, k, r, role="right")
     return left, right

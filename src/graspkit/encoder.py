@@ -41,16 +41,15 @@ class CapacityError(ValueError):
 class EncoderConfig:
     """Geometry of the target tensors.
 
-    Heatmap dims are ceil(image dims / downsample_ratio).  When
-    ``gaussian_sigma`` is None each grasp uses the scale-adaptive
-    sigma = max(1, w / (3 * R)); splats are truncated at 3 sigma.
+    Heatmap dims are ceil(image dims / downsample_ratio).  The Gaussian
+    width is not configurable: each grasp uses the scale-adaptive
+    sigma = max(1, w / (3 * R)), and splats are truncated at 3 sigma.
     """
 
     image_height: int
     image_width: int
     num_classes: int
     downsample_ratio: int = 4
-    gaussian_sigma: float | None = None
 
     @property
     def heatmap_shape(self):
@@ -121,9 +120,7 @@ def encode_targets(grasps, config):
         seen_left.add((lrow, lcol))
         seen_right.add((rrow, rcol))
 
-        sigma = config.gaussian_sigma
-        if sigma is None:
-            sigma = max(1.0, g.w / (3.0 * r))
+        sigma = max(1.0, g.w / (3.0 * r))
         _splat(left[cls], lrow, lcol, sigma)
         _splat(right[cls], rrow, rcol, sigma)
         crow, ccol = int(g.y // r), int(g.x // r)
@@ -169,16 +166,18 @@ _BG_EMBED_LEFT = 0.0
 _BG_EMBED_RIGHT = -1000.0
 
 
-def ideal_bundle(grasps, config, seed=0, max_grasps=100):
+def ideal_bundle(grasps, config, seed=0):
     """Noise-free bundle whose decoding recovers the given annotations.
 
     Keypoint and center peaks are exact unit maxima, offsets are exact, and
     each grasp's left/right embeddings are equal to each other while pair
     means of different grasps stay >= 1.5 apart (deterministic per seed).
+    More than 100 grasps, the decoder's default top-k budget, raise
+    :class:`CapacityError`.
     """
     grasps = list(grasps)
-    if len(grasps) > max_grasps:
-        raise CapacityError(f"{len(grasps)} grasps exceed the top-{max_grasps} decoding budget")
+    if len(grasps) > 100:
+        raise CapacityError(f"{len(grasps)} grasps exceed the top-100 decoding budget")
     bundle, index = encode_targets(grasps, config)
     embed_l = np.full(bundle.embedL.shape, _BG_EMBED_LEFT, dtype=np.float32)
     embed_r = np.full(bundle.embedR.shape, _BG_EMBED_RIGHT, dtype=np.float32)

@@ -27,12 +27,6 @@ class DegenerateGraspError(ValueError):
     """Keypoint pair with coincident points cannot define a grasp."""
 
 
-def _round_half_even(q):
-    """``np.round`` of a finite float: half to even, and a zero result keeps
-    the sign of ``q``, so ``-0.0`` folds to ``+0.0`` as on the array path."""
-    return math.copysign(round(q), q)
-
-
 def wrap_angle(theta):
     """Fold an angle (radians) into (-pi/2, pi/2] modulo pi.
 
@@ -41,8 +35,10 @@ def wrap_angle(theta):
     canonical angle.
     """
     if type(theta) is float and math.isfinite(theta):
-        # the array path's IEEE operations on one Python float
-        t = theta - _round_half_even(theta / math.pi) * math.pi
+        # the array path's IEEE operations on one Python float: np.round is
+        # half to even, and its zero keeps the sign, so -0.0 folds to +0.0
+        q = theta / math.pi
+        t = theta - math.copysign(round(q), q) * math.pi
         if t <= -HALF_PI:
             t += math.pi
         elif t > HALF_PI:
@@ -63,10 +59,6 @@ def angle_diff(a, b):
 
     -89 deg and +89 deg are 2 deg apart under gripper symmetry.
     """
-    if type(a) is float and type(b) is float:
-        d = a - b
-        if math.isfinite(d):
-            return abs(d - _round_half_even(d / math.pi) * math.pi)
     with np.errstate(invalid="ignore"):  # inf - inf: an infinite angle gives NaN
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
         d = np.abs(d - np.round(d / math.pi) * math.pi)
@@ -381,16 +373,21 @@ def _read_records(source):
     """Yield ``(record, Grasp)`` for each line of a JSON-lines annotation
     file (path or text file).
 
-    Blank lines are skipped.  A line that is not JSON or not a valid
-    record (see :func:`grasp_from_record`) raises ``ValueError`` naming
-    the line.
+    Blank lines are skipped.  A line that is not UTF-8, not JSON or not a
+    valid record (see :func:`grasp_from_record`) raises ``ValueError``
+    naming the line.
     """
     if hasattr(source, "read"):
-        lines = source.read().splitlines()
+        text = source.read()
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    for lineno, line in enumerate(lines, start=1):
+        with open(source, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # number lines as the loop below does
+            lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+            raise ValueError(f"line {lineno}: invalid UTF-8: {exc.reason}") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -137,9 +137,9 @@ def _rank_key(cand):
     )
 
 
-def group_candidates(bundle, thresholds, k=100, suppress=True):
+def group_candidates(bundle, thresholds, k=100):
     """Full grouping pipeline; returns ranked GraspCandidates (<= max_output)."""
-    left, right = decode_bundle(bundle, k=k, suppress=suppress)
+    left, right = decode_bundle(bundle, k=k)
     if not left or not right:
         return []
     scores = extract_center_scores(left, right, bundle.center, bundle.downsample_ratio)
@@ -149,7 +149,7 @@ def group_candidates(bundle, thresholds, k=100, suppress=True):
     return candidates[: thresholds.max_output]
 
 
-def group(bundle, thresholds, k=100, suppress=True):
+def group(bundle, thresholds, k=100):
     """Ranked center-form grasps for a bundle (possibly empty).
 
     A candidate's keypoints are already in canonical order, so its grasp is
@@ -157,5 +157,5 @@ def group(bundle, thresholds, k=100, suppress=True):
     """
     return [
         _center_form(cand.left.x, cand.left.y, cand.right.x, cand.right.y)
-        for cand in group_candidates(bundle, thresholds, k=k, suppress=suppress)
+        for cand in group_candidates(bundle, thresholds, k=k)
     ]

@@ -43,15 +43,16 @@ class LossWeights:
     offset: float = 1.0
 
 
-def detection_loss(pred, truth, n_grasps, params=None):
-    """Focal detection loss over a heatmap stack.
+def detection_loss(pred, truth, n_grasps):
+    """Focal detection loss over a heatmap stack, with the default
+    :class:`FocalParams` exponents alpha = 2 and beta = 4.
 
     ``pred`` and ``truth`` share a shape, either (C, H, W) for keypoint
     stacks or (H, W) for the single center plane.  Positive pixels are the
     ones where truth equals 1 exactly; Gaussian-rendered neighbors fall in
     the reduced-penalty branch.  Returns (loss, d loss / d pred).
     """
-    p = FocalParams() if params is None else params
+    p = FocalParams()
     pred = np.asarray(pred, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if pred.shape != truth.shape:
@@ -185,14 +186,16 @@ class GradCheckReport:
         return {**asdict(self), "worst_coordinate": list(self.worst_coordinate)}
 
 
-def gradient_check(fn, point, step=1e-5, rel_tol=1e-4, abs_floor=1e-7):
+def gradient_check(fn, point, step=1e-5, rel_tol=1e-4):
     """Compare ``fn``'s analytic gradient against central differences.
 
     ``fn(x) -> (loss, grad)`` with grad shaped like x.  The caller must pick
     points at least ~10*step away from any kink.  Per coordinate, the error
-    is |fd - an| / max(|fd|, |an|, abs_floor/rel_tol), so mismatches smaller
-    than abs_floor pass regardless of relative size (zero-gradient points).
+    is |fd - an| / max(|fd|, |an|, abs_floor/rel_tol) with a fixed
+    abs_floor = 1e-7, so mismatches smaller than abs_floor pass regardless
+    of relative size (zero-gradient points).
     """
+    abs_floor = 1e-7
     if not 1e-7 <= step <= 1e-3:
         raise ValueError(f"step {step} outside [1e-7, 1e-3]")
     x0 = np.asarray(point, dtype=float)
@@ -221,6 +224,6 @@ def gradient_check(fn, point, step=1e-5, rel_tol=1e-4, abs_floor=1e-7):
         n_coordinates=int(flat.size),
         step=float(step),
         rel_tol=float(rel_tol),
-        abs_floor=float(abs_floor),
+        abs_floor=abs_floor,
         passed=bool(err.reshape(-1)[worst] < rel_tol),
     )

@@ -412,3 +412,15 @@ def test_evaluate_on_fuzzed_annotation_files_exits_cleanly(pred, truth):
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+
+
+def test_evaluate_on_a_non_utf8_annotation_file_names_the_line(tmp_path, annotations):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(annotations.read_bytes().splitlines(keepends=True)[0] + b'{"x": 1\xff}\n')
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--pred", str(bad), "--truth", str(annotations), "--profile", "cornell"])
+    assert code == 2
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: line 2: "), err.getvalue()

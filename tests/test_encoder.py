@@ -46,6 +46,15 @@ def test_floor_quantization_and_offsets():
     assert enc.left_offset == (0.5, 0.75)
 
 
+@pytest.mark.parametrize("w, sigma", [(30.0, 2.5), (6.0, 1.0)], ids=["w-over-3R", "floor-1"])
+def test_gaussian_sigma_is_w_over_3r_floored_at_1(w, sigma):
+    bundle, (enc,) = encode_targets([Grasp(100.0, 100.0, 0.0, w)], CFG)
+    row, col = enc.left_pixel
+    plane = bundle.left[enc.class_index]
+    assert plane[row, col] == 1.0
+    assert plane[row, col - 1] == np.float32(np.exp(-1 / (2 * sigma**2)))
+
+
 def test_dedup_first_wins():
     a = Grasp(60.0, 60.0, 0.0, 40.0)
     b = Grasp(61.0, 60.5, 0.0, 42.0)  # same left heatmap pixel as a

@@ -326,6 +326,19 @@ def test_annotation_line_with_an_over_long_integer_names_the_line():
             reader(io.StringIO(line))
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_annotation_file_with_a_non_utf8_byte_names_the_line(tmp_path, newline):
+    path = tmp_path / "ann.jsonl"
+    path.write_bytes(GOOD_RECORD.encode() + newline + b'{"x": 1\xff}' + newline)
+    for reader in (read_annotations, read_annotation_groups):
+        with pytest.raises(ValueError, match="^line 2: invalid UTF-8"):
+            reader(path)
+    # the same line, valid UTF-8 but not JSON, gets the same number
+    path.write_bytes(GOOD_RECORD.encode() + newline + b'{"x": 1}}' + newline)
+    with pytest.raises(ValueError, match="^line 2: invalid JSON"):
+        read_annotations(path)
+
+
 def _iou_outcome(fn, *args):
     """``float.hex`` of an IoU, or "ValueError" for an area overflow."""
     try:
