@@ -16,7 +16,9 @@ pixel when there are few, else the positive pixels scoring at least the
 candidate set scores below every candidate, so when the candidates hold at
 least k peaks, those k are the top k of the whole stack.  When they hold
 fewer, or when ties make them too many to test for less than a whole-stack
-suppression (a plateau), the whole stack is suppressed instead.
+suppression (a plateau), the whole stack is suppressed instead.  A strided
+sample of the positive scores shows such a plateau before any partition,
+and gives the partition that finds the (4k)-th score a lower bound.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .bundle import PayloadError
 
 
 @dataclass(frozen=True)
@@ -87,28 +91,40 @@ def _peaks_among(flat, cand, h, w):
     return cand[keep]
 
 
-# Candidates per top-k slot, and the share of a stack beyond which testing
-# candidates costs more than suppressing the whole stack: testing one
-# candidate costs about as much as suppressing eight pixels.
+# Candidates per top-k slot, the share of a stack beyond which testing
+# candidates costs more than suppressing the whole stack (testing one
+# candidate costs about as much as suppressing eight pixels), and the size
+# of the sample that estimates the candidate count.
 _CANDIDATES_PER_K = 4
 _MAX_CANDIDATE_SHARE = 8
+_SAMPLE = 1024
 
 
 def _high_candidates(flat, positive, n_positive, k, bound):
     """Flat indices of the pixels scoring at least the (4k)-th highest
     positive score, or None when they number more than ``bound``."""
-    cut = n_positive - _CANDIDATES_PER_K * k
-    if cut <= 0:
+    n_high = _CANDIDATES_PER_K * k
+    if n_positive <= n_high:
         return None
-    # over positive values only: a partition over many equal zeros is slow
+    # A threshold on a plateau makes the candidates too many, and equal values
+    # slow np.partition down, so a strided sample of the positive scores
+    # estimates their count first, ties included.  Every route is exact: the
+    # estimate decides only speed.
     values = flat if n_positive == flat.size else flat[positive]
-    # Pixels at the top score are candidates for any threshold, so a plateau
-    # there shows them too many without the partition, which equal values
-    # slow down as well.
-    if np.count_nonzero(values == values.max()) > bound:
+    sample = np.sort(values[:: max(1, n_positive // _SAMPLE)])
+    above = sample.size * n_high // n_positive  # sampled values above the threshold
+    high_in_sample = sample.size - np.searchsorted(sample, sample[-1 - above])
+    if high_in_sample * n_positive > bound * sample.size:
         return None
-    high = flat >= np.partition(values, cut)[cut]
-    return np.flatnonzero(high) if np.count_nonzero(high) <= bound else None
+    # The partition runs on the pixels scoring at least a sampled value about
+    # twice as far down, which lies below the threshold as a rule; when fewer
+    # than 4k pixels reach it, on all positives.
+    pixels = np.flatnonzero(flat >= sample[max(0, sample.size - 2 * above - 8)])
+    if pixels.size < n_high:
+        pixels = np.flatnonzero(positive)
+    scores = flat[pixels]
+    high = pixels[scores >= np.partition(scores, scores.size - n_high)[scores.size - n_high]]
+    return high if high.size <= bound else None
 
 
 def _top_peaks(stack, k):
@@ -130,47 +146,51 @@ def _top_peaks(stack, k):
     return _top_k(suppressed, np.flatnonzero(suppressed > 0), k)
 
 
+def _keypoint_arrays(heatmaps, embeddings, offsets, k, ratio, suppress=True):
+    """One role's top-k keypoints, best first, as arrays ``(x, y, class, score,
+    embedding)``: class int, the rest float64 (widened as ``tolist()`` widens).
+    A selected keypoint's non-finite offset or embedding raises PayloadError."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    stack = np.asarray(heatmaps, dtype=np.float32)
+    if stack.ndim == 2:
+        stack = stack[None]
+    _, h, w = stack.shape
+    flat = stack.reshape(-1)
+    top = _top_peaks(stack, k) if suppress else _top_k(flat, np.flatnonzero(flat > 0), k)
+    cls, rem = np.divmod(top, h * w)
+    rows, cols = np.divmod(rem, w)
+    off = np.asarray(offsets, dtype=np.float32)[:, rows, cols]
+    emb = np.asarray(embeddings, dtype=np.float32)[rows, cols]
+    if not (np.isfinite(off).all() and np.isfinite(emb).all()):
+        raise PayloadError("non-finite offset or embedding at a selected keypoint")
+    xs = np.clip((cols + off[0]) * ratio, 0.0, w * ratio)
+    ys = np.clip((rows + off[1]) * ratio, 0.0, h * ratio)
+    return xs, ys, cls, flat[top].astype(float), emb.astype(float)
+
+
+def _detected(arrays, role):
+    """:class:`DetectedKeypoint` objects for keypoint arrays."""
+    return [DetectedKeypoint(*values, role=role) for values in zip(*(a.tolist() for a in arrays))]
+
+
 def select_grasp_keypoints(heatmaps, embeddings, offsets, k, ratio, role="left", suppress=True):
     """Top-k keypoints of one role; shorter list when fewer pixels score > 0.
 
     ``suppress=False`` ranks raw pixels, without the 3x3 suppression that
     :func:`decode_bundle` always applies.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    stack = np.asarray(heatmaps, dtype=np.float32)
-    if stack.ndim == 2:
-        stack = stack[None]
-    n_cls, h, w = stack.shape
-    flat = stack.reshape(-1)
-    if suppress:
-        top = _top_peaks(stack, k)
-    else:
-        top = _top_k(flat, np.flatnonzero(flat > 0), k)
-    if top.size == 0:
-        return []
-    cls = top // (h * w)
-    rem = top % (h * w)
-    rows = rem // w
-    cols = rem % w
-    off = np.asarray(offsets, dtype=np.float32)
-    emb = np.asarray(embeddings, dtype=np.float32)
-    xs = (cols + off[0, rows, cols]) * ratio
-    ys = (rows + off[1, rows, cols]) * ratio
-    xs = np.clip(xs, 0.0, w * ratio)
-    ys = np.clip(ys, 0.0, h * ratio)
-    return [
-        DetectedKeypoint(x=x, y=y, class_index=c, score=s, embedding=e, role=role)
-        for x, y, c, s, e in zip(
-            xs.tolist(), ys.tolist(), cls.tolist(), flat[top].tolist(), emb[rows, cols].tolist()
-        )
-    ]
+    return _detected(_keypoint_arrays(heatmaps, embeddings, offsets, k, ratio, suppress), role)
+
+
+def _decode(bundle, k):
+    """Keypoint arrays of the left and right roles, 3x3 suppression included."""
+    roles = ((bundle.left, bundle.embedL, bundle.offsetL), (bundle.right, bundle.embedR, bundle.offsetR))
+    return [_keypoint_arrays(*planes, k, bundle.downsample_ratio) for planes in roles]
 
 
 def decode_bundle(bundle, k=100):
     """Decode both keypoint roles of a bundle with identical rules, 3x3
     suppression included."""
-    r = bundle.downsample_ratio
-    left = select_grasp_keypoints(bundle.left, bundle.embedL, bundle.offsetL, k, r, role="left")
-    right = select_grasp_keypoints(bundle.right, bundle.embedR, bundle.offsetR, k, r, role="right")
-    return left, right
+    left, right = _decode(bundle, k)
+    return _detected(left, "left"), _detected(right, "right")

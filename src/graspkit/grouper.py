@@ -1,12 +1,14 @@
 """Pair decoded keypoints into ranked grasp candidates.
 
-Processing steps: decode top-k keypoints per role, score every left x right
-pair at the midpoint of the center heatmap, keep pairs that (1) share an
-orientation class, (2) have embedding distance strictly below rho_embed and
-(3) center confidence strictly above rho_cen, then drop candidates whose
-discrete (class) and continuous (keypoint) orientations disagree by more
-than tau_orient.  Survivors convert to center-form grasps, ranked by center
-confidence.  An empty result is valid output.
+Processing steps, on index arrays: decode each role's top-k keypoints as
+``(x, y, class, score, embedding)`` arrays; keep the left x right pairs
+that share a class, differ in embedding by strictly less than rho_embed
+and are in canonical order (one mask); keep those whose center-heatmap
+value at the midpoint is strictly above rho_cen; drop pairs whose class
+angle and keypoint angle (``np.arctan2``) differ by more than tau_orient;
+rank by one stable lexsort and cut at max_output.  Only the survivors
+become Python objects, grasps taking theta from ``math.atan2``.  The public
+stage functions wrap the same steps.  An empty result is valid output.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import DetectedKeypoint, decode_bundle
+from .decoder import DetectedKeypoint, _decode, _detected
+from .decoder import decode_bundle  # noqa: F401  (bench/spans.py traces it under this module)
 from .geometry import _center_form, angle_diff, class_to_angle, wrap_angle
 
 
@@ -48,12 +51,26 @@ class GraspCandidate:
 
 
 def _kp_arrays(kps):
+    """Keypoint arrays ``(x, y, class, score, embedding)`` of DetectedKeypoints."""
     return (
         np.array([p.x for p in kps], dtype=float),
         np.array([p.y for p in kps], dtype=float),
         np.array([p.class_index for p in kps], dtype=int),
+        np.array([p.score for p in kps], dtype=float),
         np.array([p.embedding for p in kps], dtype=float),
     )
+
+
+def _center_scores(left, right, li, ri, center_map, ratio):
+    """Center-heatmap confidence of the index pairs ``(li, ri)``, read at the
+    heatmap pixel nearest the pair midpoint, clamped to map bounds."""
+    center = np.asarray(center_map, dtype=np.float32)
+    h, w = center.shape
+    cx = (left[0][li] + right[0][ri]) / 2.0
+    cy = (left[1][li] + right[1][ri]) / 2.0
+    cols = np.clip(np.rint(cx / ratio).astype(int), 0, w - 1)
+    rows = np.clip(np.rint(cy / ratio).astype(int), 0, h - 1)
+    return center[rows, cols].astype(float)
 
 
 def extract_center_scores(left_kps, right_kps, center_map, ratio):
@@ -62,15 +79,33 @@ def extract_center_scores(left_kps, right_kps, center_map, ratio):
     Returns a (len(left), len(right)) matrix; the lookup pixel is the
     nearest heatmap pixel to the pair midpoint, clamped to map bounds.
     """
-    center = np.asarray(center_map, dtype=np.float32)
-    h, w = center.shape
-    lx, ly, _, _ = _kp_arrays(left_kps)
-    rx, ry, _, _ = _kp_arrays(right_kps)
-    cx = (lx[:, None] + rx[None, :]) / 2.0
-    cy = (ly[:, None] + ry[None, :]) / 2.0
-    cols = np.clip(np.rint(cx / ratio).astype(int), 0, w - 1)
-    rows = np.clip(np.rint(cy / ratio).astype(int), 0, h - 1)
-    return center[rows, cols].astype(float)
+    li, ri = np.arange(len(left_kps))[:, None], np.arange(len(right_kps))[None, :]
+    return _center_scores(_kp_arrays(left_kps), _kp_arrays(right_kps), li, ri, center_map, ratio)
+
+
+def _passing(left, right, thresholds, num_classes, center_scores):
+    """Row-major index pairs ``(li, ri)`` that share a class, lie closer than
+    rho_embed in embedding and in canonical order (one mask), then score
+    above rho_cen by ``center_scores(li, ri)``: the arrays ``(li, ri, class,
+    center score, theta_discrete, theta_continuous)``, theta from ``np.arctan2``."""
+    lx, ly, lcls, _, lemb = left
+    rx, ry, rcls, _, remb = right
+    li, ri = np.nonzero(
+        (lcls[:, None] == rcls[None, :])
+        & (np.abs(lemb[:, None] - remb[None, :]) < thresholds.rho_embed)
+        & ((lx[:, None] < rx[None, :]) | ((lx[:, None] == rx[None, :]) & (ly[:, None] < ry[None, :])))
+    )
+    scores = center_scores(li, ri)
+    ok = scores > thresholds.rho_cen
+    li, ri, scores = li[ok], ri[ok], scores[ok]
+    theta_cont = wrap_angle(np.arctan2(ry[ri] - ly[li], rx[ri] - lx[li]))
+    return li, ri, lcls[li], scores, class_to_angle(lcls[li], num_classes), theta_cont
+
+
+def _candidates(lkps, rkps, *arrays):
+    """GraspCandidates from keypoint lists and (class, center score,
+    theta_discrete, theta_continuous) arrays."""
+    return [GraspCandidate(*fields) for fields in zip(lkps, rkps, *(a.tolist() for a in arrays))]
 
 
 def filter_pairs(left_kps, right_kps, center_scores, thresholds, num_classes):
@@ -83,33 +118,11 @@ def filter_pairs(left_kps, right_kps, center_scores, thresholds, num_classes):
     """
     if not left_kps or not right_kps:
         return []
-    lx, ly, lcls, lemb = _kp_arrays(left_kps)
-    rx, ry, rcls, remb = _kp_arrays(right_kps)
     scores = np.asarray(center_scores, dtype=float)
-    class_ok = lcls[:, None] == rcls[None, :]
-    embed_ok = np.abs(lemb[:, None] - remb[None, :]) < thresholds.rho_embed
-    center_ok = scores > thresholds.rho_cen
-    canonical = (lx[:, None] < rx[None, :]) | (
-        (lx[:, None] == rx[None, :]) & (ly[:, None] < ry[None, :])
+    li, ri, *rest = _passing(
+        _kp_arrays(left_kps), _kp_arrays(right_kps), thresholds, num_classes, lambda li, ri: scores[li, ri]
     )
-    li, ri = np.nonzero(class_ok & embed_ok & center_ok & canonical)
-    classes = lcls[li]
-    theta_cont = wrap_angle(np.arctan2(ry[ri] - ly[li], rx[ri] - lx[li]))
-    theta_disc = class_to_angle(classes, num_classes)
-    return [
-        GraspCandidate(
-            left=left_kps[i],
-            right=right_kps[j],
-            class_index=c,
-            center_score=s,
-            theta_discrete=td,
-            theta_continuous=tc,
-        )
-        for i, j, c, s, td, tc in zip(
-            li.tolist(), ri.tolist(), classes.tolist(), scores[li, ri].tolist(),
-            theta_disc.tolist(), theta_cont.tolist(),
-        )
-    ]
+    return _candidates([left_kps[i] for i in li.tolist()], [right_kps[j] for j in ri.tolist()], *rest)
 
 
 def orientation_filter(candidates, tau_orient, num_classes):
@@ -125,37 +138,34 @@ def orientation_filter(candidates, tau_orient, num_classes):
     return [cand for cand, ok in zip(candidates, keep.tolist()) if ok]
 
 
-def _rank_key(cand):
-    mean_kp_score = (cand.left.score + cand.right.score) / 2.0
-    return (
-        -cand.center_score,
-        -mean_kp_score,
-        cand.left.x,
-        cand.left.y,
-        cand.right.x,
-        cand.right.y,
+def _ranked(bundle, thresholds, k):
+    """Both roles' keypoint arrays and :func:`_passing`'s arrays for the
+    pairs within tau_orient, ranked by one stable lexsort on (-center score,
+    -mean keypoint score, left x, left y, right x, right y), so ties keep the
+    row-major (li, ri) order, and cut at ``max_output``."""
+    left, right = _decode(bundle, k)
+    pairs = _passing(
+        left, right, thresholds, bundle.num_classes,
+        lambda li, ri: _center_scores(left, right, li, ri, bundle.center, bundle.downsample_ratio),
     )
+    keep = np.flatnonzero(angle_diff(pairs[4], pairs[5]) <= thresholds.tau_orient)
+    li, ri, _, scores = (a[keep] for a in pairs[:4])
+    mean_kp_score = (left[3][li] + right[3][ri]) / 2.0
+    rank = np.lexsort((right[1][ri], right[0][ri], left[1][li], left[0][li], -mean_kp_score, -scores))
+    order = keep[rank[: thresholds.max_output]]
+    return left, right, [a[order] for a in pairs]
 
 
 def group_candidates(bundle, thresholds, k=100):
     """Full grouping pipeline; returns ranked GraspCandidates (<= max_output)."""
-    left, right = decode_bundle(bundle, k=k)
-    if not left or not right:
-        return []
-    scores = extract_center_scores(left, right, bundle.center, bundle.downsample_ratio)
-    candidates = filter_pairs(left, right, scores, thresholds, bundle.num_classes)
-    candidates = orientation_filter(candidates, thresholds.tau_orient, bundle.num_classes)
-    candidates.sort(key=_rank_key)
-    return candidates[: thresholds.max_output]
+    left, right, (li, ri, *rest) = _ranked(bundle, thresholds, k)
+    lkps, rkps = _detected([a[li] for a in left], "left"), _detected([a[ri] for a in right], "right")
+    return _candidates(lkps, rkps, *rest)
 
 
 def group(bundle, thresholds, k=100):
-    """Ranked center-form grasps for a bundle (possibly empty).
-
-    A candidate's keypoints are already in canonical order, so its grasp is
-    built from them directly, without a :class:`KeypointPair` round trip.
-    """
-    return [
-        _center_form(cand.left.x, cand.left.y, cand.right.x, cand.right.y)
-        for cand in group_candidates(bundle, thresholds, k=k)
-    ]
+    """Ranked center-form grasps for a bundle (possibly empty), built from
+    each survivor's canonically ordered keypoints, theta from ``math.atan2``."""
+    left, right, (li, ri, *_) = _ranked(bundle, thresholds, k)
+    points = (left[0][li], left[1][li], right[0][ri], right[1][ri])
+    return [_center_form(*p) for p in zip(*(a.tolist() for a in points))]

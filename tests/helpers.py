@@ -7,14 +7,20 @@ import numpy as np
 from hypothesis import strategies as st
 
 from graspkit import (
+    DetectedKeypoint,
     EncoderConfig,
     Grasp,
+    GraspCandidate,
     HeatmapBundle,
     OrientedRect,
+    angle_diff,
+    class_to_angle,
     ideal_bundle,
     losses,
     suppress_non_maxima,
+    wrap_angle,
 )
+from graspkit.geometry import _center_form
 from graspkit.checks import random_bundle, separated_grasps as random_separated_grasps  # noqa: F401
 
 
@@ -176,6 +182,114 @@ def select_reference(heatmaps, embeddings, offsets, k, ratio):
     return [
         (float(xs[i]), float(ys[i]), int(cls[i]), float(flat[top[i]]), float(embeddings[rows[i], cols[i]]))
         for i in range(top.size)
+    ]
+
+
+def decode_reference(bundle, k):
+    """Both roles' DetectedKeypoints of a bundle by :func:`select_reference`."""
+    roles = (("left", bundle.left, bundle.embedL, bundle.offsetL),
+             ("right", bundle.right, bundle.embedR, bundle.offsetR))
+    return tuple(
+        [DetectedKeypoint(*kp, role=role) for kp in select_reference(heat, emb, off, k, bundle.downsample_ratio)]
+        for role, heat, emb, off in roles
+    )
+
+
+# The object pipeline below is the grouper as it was before it ran on index
+# arrays: one DetectedKeypoint per keypoint and one GraspCandidate per pair
+# that passes the three conditions, ranked by a stable ``sort``.  It is kept
+# verbatim as the bitwise oracle for ``group`` and ``group_candidates``.
+
+
+def _kp_arrays_reference(kps):
+    return (
+        np.array([p.x for p in kps], dtype=float),
+        np.array([p.y for p in kps], dtype=float),
+        np.array([p.class_index for p in kps], dtype=int),
+        np.array([p.embedding for p in kps], dtype=float),
+    )
+
+
+def extract_center_scores_reference(left_kps, right_kps, center_map, ratio):
+    center = np.asarray(center_map, dtype=np.float32)
+    h, w = center.shape
+    lx, ly, _, _ = _kp_arrays_reference(left_kps)
+    rx, ry, _, _ = _kp_arrays_reference(right_kps)
+    cx = (lx[:, None] + rx[None, :]) / 2.0
+    cy = (ly[:, None] + ry[None, :]) / 2.0
+    cols = np.clip(np.rint(cx / ratio).astype(int), 0, w - 1)
+    rows = np.clip(np.rint(cy / ratio).astype(int), 0, h - 1)
+    return center[rows, cols].astype(float)
+
+
+def filter_pairs_reference(left_kps, right_kps, center_scores, thresholds, num_classes):
+    if not left_kps or not right_kps:
+        return []
+    lx, ly, lcls, lemb = _kp_arrays_reference(left_kps)
+    rx, ry, rcls, remb = _kp_arrays_reference(right_kps)
+    scores = np.asarray(center_scores, dtype=float)
+    class_ok = lcls[:, None] == rcls[None, :]
+    embed_ok = np.abs(lemb[:, None] - remb[None, :]) < thresholds.rho_embed
+    center_ok = scores > thresholds.rho_cen
+    canonical = (lx[:, None] < rx[None, :]) | (
+        (lx[:, None] == rx[None, :]) & (ly[:, None] < ry[None, :])
+    )
+    li, ri = np.nonzero(class_ok & embed_ok & center_ok & canonical)
+    classes = lcls[li]
+    theta_cont = wrap_angle(np.arctan2(ry[ri] - ly[li], rx[ri] - lx[li]))
+    theta_disc = class_to_angle(classes, num_classes)
+    return [
+        GraspCandidate(
+            left=left_kps[i],
+            right=right_kps[j],
+            class_index=c,
+            center_score=s,
+            theta_discrete=td,
+            theta_continuous=tc,
+        )
+        for i, j, c, s, td, tc in zip(
+            li.tolist(), ri.tolist(), classes.tolist(), scores[li, ri].tolist(),
+            theta_disc.tolist(), theta_cont.tolist(),
+        )
+    ]
+
+
+def orientation_filter_reference(candidates, tau_orient, num_classes):
+    disc = np.array([c.theta_discrete for c in candidates], dtype=float)
+    cont = np.array([c.theta_continuous for c in candidates], dtype=float)
+    keep = angle_diff(disc, cont) <= tau_orient
+    return [cand for cand, ok in zip(candidates, keep.tolist()) if ok]
+
+
+def _rank_key_reference(cand):
+    mean_kp_score = (cand.left.score + cand.right.score) / 2.0
+    return (
+        -cand.center_score,
+        -mean_kp_score,
+        cand.left.x,
+        cand.left.y,
+        cand.right.x,
+        cand.right.y,
+    )
+
+
+def group_candidates_reference(bundle, thresholds, k=100):
+    """Ranked GraspCandidates by the object pipeline, decoded by
+    :func:`decode_reference`."""
+    left, right = decode_reference(bundle, k)
+    if not left or not right:
+        return []
+    scores = extract_center_scores_reference(left, right, bundle.center, bundle.downsample_ratio)
+    candidates = filter_pairs_reference(left, right, scores, thresholds, bundle.num_classes)
+    candidates = orientation_filter_reference(candidates, thresholds.tau_orient, bundle.num_classes)
+    candidates.sort(key=_rank_key_reference)
+    return candidates[: thresholds.max_output]
+
+
+def group_reference(bundle, thresholds, k=100):
+    return [
+        _center_form(cand.left.x, cand.left.y, cand.right.x, cand.right.y)
+        for cand in group_candidates_reference(bundle, thresholds, k=k)
     ]
 
 

@@ -6,6 +6,7 @@ for an eager or a lazy (``__getattr__``) package module alike.
 """
 
 import importlib
+import inspect
 
 import pytest
 
@@ -64,3 +65,29 @@ def test_public_names_resolve_to_their_module(module):
     for name in PUBLIC_NAMES[module]:
         assert getattr(graspkit, name) is getattr(source, name), name
 
+
+
+# The decode and grouping stages run on one array core; these public
+# wrappers keep their signatures.
+SIGNATURES = {
+    "select_grasp_keypoints": "(heatmaps, embeddings, offsets, k, ratio, role='left', suppress=True)",
+    "decode_bundle": "(bundle, k=100)",
+    "extract_center_scores": "(left_kps, right_kps, center_map, ratio)",
+    "filter_pairs": "(left_kps, right_kps, center_scores, thresholds, num_classes)",
+    "orientation_filter": "(candidates, tau_orient, num_classes)",
+    "group_candidates": "(bundle, thresholds, k=100)",
+    "group": "(bundle, thresholds, k=100)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_decode_and_grouping_signatures_stay(name):
+    assert str(inspect.signature(getattr(graspkit, name))) == SIGNATURES[name]
+
+
+@pytest.mark.parametrize("call", ["group", "group_candidates", "decode_bundle"])
+def test_k_below_one_raises(call):
+    bundle = graspkit.ideal_bundle([graspkit.Grasp(60.0, 60.0, 0.0, 30.0)], graspkit.EncoderConfig(128, 128, 18))
+    args = (bundle,) if call == "decode_bundle" else (bundle, graspkit.CORNELL.thresholds)
+    with pytest.raises(ValueError, match=r"k must be >= 1, got 0"):
+        getattr(graspkit, call)(*args, k=0)

@@ -309,6 +309,36 @@ def test_constant_plane_falls_back(suppress_calls, shape):
     assert suppress_calls == [1]
 
 
+@pytest.mark.parametrize("n_cls", [18, 36])
+def test_plateau_below_spikes_falls_back_without_a_partition(monkeypatch, suppress_calls, n_cls):
+    # the (4k)-th highest score lies on a plateau of the whole stack below
+    # 50 spikes: the candidates are too many, which the sample shows first
+    heat = np.full((n_cls, 57, 57), 0.5, np.float32)
+    heat.reshape(-1)[np.random.default_rng(n_cls).choice(heat.size, 50, replace=False)] = 0.9
+    flat = heat.reshape(-1)
+    sizes = []
+    partition = np.partition
+    monkeypatch.setattr(np, "partition", lambda a, kth: sizes.append(a.size) or partition(a, kth))
+    assert decoder._high_candidates(flat, flat > 0, flat.size, 100, flat.size // 8) is None
+    assert sizes == []
+    got, expected = _keypoints(heat, 100)
+    assert got == expected and len(got) == 100
+    assert suppress_calls == [1]
+
+
+def test_sampled_guess_above_the_threshold_partitions_all_positives(suppress_calls):
+    # the strided sample (stride 57 = w) sees only column 0, which holds the
+    # highest scores: its guess leaves fewer than 4k pixels above it
+    rng = np.random.default_rng(5)
+    heat = rng.uniform(0.01, 0.5, (18, 57, 57)).astype(np.float32)
+    heat[:, :, 0] = rng.permutation(np.linspace(0.9, 0.99, 18 * 57)).reshape(18, 57)
+    flat = heat.reshape(-1)
+    assert np.count_nonzero(flat >= np.sort(flat[::57])[-22]) < 400
+    got, expected = _keypoints(heat, 100)
+    assert got == expected and len(got) == 100
+    assert suppress_calls == []
+
+
 def test_import_does_not_load_scipy():
     code = "import sys, graspkit; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -16,6 +16,7 @@ from graspkit import (
     GraspCandidate,
     GroupingThresholds,
     KeypointPair,
+    PayloadError,
     angle_diff,
     class_to_angle,
     decode_bundle,
@@ -32,6 +33,8 @@ from graspkit import (
 from helpers import (
     clutter_bundle,
     grasp_key,
+    group_candidates_reference,
+    group_reference,
     grouping_bundle,
     random_separated_grasps,
     recovered_fraction,
@@ -316,3 +319,103 @@ def test_annotation_order_does_not_change_grouping(profile, truths, rnd, seed):
     shuffled = rnd.sample(truths, len(truths))
     want = group(ideal_bundle(truths, config, seed=seed), profile.thresholds)
     assert group(ideal_bundle(shuffled, config, seed=seed), profile.thresholds) == want
+
+
+def _hex(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+def _candidate_bits(cands):
+    """Every field of every candidate, floats as ``float.hex``."""
+    return [
+        tuple(_hex(getattr(c.left, f)) for f in ("x", "y", "class_index", "score", "embedding", "role"))
+        + tuple(_hex(getattr(c.right, f)) for f in ("x", "y", "class_index", "score", "embedding", "role"))
+        + tuple(_hex(v) for v in (c.class_index, c.center_score, c.theta_discrete, c.theta_continuous))
+        for c in cands
+    ]
+
+
+def _grasp_bits(grasps):
+    return [tuple(_hex(v) for v in (g.x, g.y, g.theta, g.w, g.h)) for g in grasps]
+
+
+def _quantize(bundle, levels):
+    """Round the heatmap and center values up to ``levels`` steps: plateaus
+    make equal scores, and a pixel peaking in several classes gives pairs
+    with equal positions, so whole rank keys tie."""
+    for name in ("left", "right", "center"):
+        plane = getattr(bundle, name)
+        setattr(bundle, name, (np.ceil(plane * levels) / levels).astype(np.float32))
+    return bundle
+
+
+@st.composite
+def _grouping_inputs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    source = draw(st.sampled_from(["grouping", "cornell", "ajd"]))
+    if source == "grouping":
+        bundle = grouping_bundle(rng, num_classes=draw(st.integers(1, 6)), dim=draw(st.integers(3, 24)))
+        th = GroupingThresholds(
+            draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 0.9)), draw(st.floats(0.0, 1.6)),
+            draw(st.integers(1, 300)),
+        )
+        k = draw(st.integers(1, 80))
+    else:
+        profile = CORNELL if source == "cornell" else AJD
+        bundle, _ = clutter_bundle(rng, profile, draw(st.integers(1, 9)))
+        th, k = profile.thresholds, 100
+    levels = draw(st.sampled_from([None, 1, 2, 3, 5]))
+    return (_quantize(bundle, levels) if levels else bundle), th, k
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grouping_inputs())
+def test_group_equals_the_object_pipeline_bitwise(inputs):
+    bundle, th, k = inputs
+    assert _candidate_bits(group_candidates(bundle, th, k=k)) == _candidate_bits(
+        group_candidates_reference(bundle, th, k=k)
+    )
+    assert _grasp_bits(group(bundle, th, k=k)) == _grasp_bits(group_reference(bundle, th, k=k))
+
+
+def test_rank_ties_keep_the_row_major_pair_order():
+    rng = np.random.default_rng(67)
+    th = GroupingThresholds(rho_embed=3.0, rho_cen=0.0, tau_orient=1.6, max_output=10000)
+    ties = 0
+    for _ in range(5):
+        # every pixel at 1.0 is a peak, and all of them fit in top-k
+        bundle = _quantize(grouping_bundle(rng, num_classes=2, dim=6), 2)
+        want = group_candidates_reference(bundle, th, k=100)
+        assert _candidate_bits(group_candidates(bundle, th, k=100)) == _candidate_bits(want)
+        keys = [
+            (c.center_score, c.left.score + c.right.score, c.left.x, c.left.y, c.right.x, c.right.y)
+            for c in want
+        ]
+        ties += len(keys) - len(set(keys))
+    assert ties > 0  # whole rank keys tie, so the stable order decides
+
+
+@pytest.mark.parametrize("plane", ["offsetL", "offsetR", "embedL", "embedR"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_value_at_a_selected_keypoint_raises_payload_error(plane, value):
+    bundle = grouping_bundle(np.random.default_rng(61))
+    heat = bundle.left if plane.endswith("L") else bundle.right
+    _, row, col = np.unravel_index(np.argmax(heat), heat.shape)  # the best keypoint's pixel
+    getattr(bundle, plane)[..., row, col] = value
+    th = GroupingThresholds(1.5, 0.02, 1.0)
+    for call in (lambda: group(bundle, th, k=5), lambda: group_candidates(bundle, th, k=5),
+                 lambda: decode_bundle(bundle, k=5)):
+        with pytest.raises(PayloadError, match="non-finite"):
+            call()
+
+
+def test_non_finite_values_off_the_selected_keypoints_are_not_read():
+    bundle = grouping_bundle(np.random.default_rng(62))
+    th = GroupingThresholds(1.5, 0.02, 1.0, 10000)
+    for stack in (bundle.left, bundle.right):
+        stack[:, 5:9, 5:9] = 0.0  # no keypoint can sit here
+    want = _grasp_bits(group(bundle, th, k=60))
+    for plane in (bundle.offsetL, bundle.offsetR, bundle.embedL, bundle.embedR):
+        plane[..., 5:9, 5:9] = np.nan
+    assert _grasp_bits(group(bundle, th, k=60)) == want
+    assert want
