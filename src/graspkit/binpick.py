@@ -23,7 +23,7 @@ import numpy as np
 from .depth import DepthImage, score_grasps
 from .encoder import EncoderConfig, ideal_bundle
 from .geometry import HALF_PI, Grasp, grasp_to_record
-from .grouper import group
+from .grouper import GroupingThresholds, group
 
 # Extra jaw opening beyond the block extent so finger footprints land on
 # clear surface; blocks narrower than the gripper interior would fail the
@@ -147,7 +147,9 @@ def oracle_detector(scene):
 def pipeline_detector(scene, thresholds, num_classes=18, seed=0):
     """Detector that routes the oracle annotations through the full
     encode -> decode -> group pipeline on an ideal heatmap bundle, decoding
-    the top 100 keypoints per role."""
+    the top ``decoder.TOP_K`` keypoints per role.  It is not perception: it
+    never reads the depth image it is given, and it re-encodes the scene's
+    remaining oracle annotations on every attempt."""
     config = EncoderConfig(
         image_height=scene.image_height,
         image_width=scene.image_width,
@@ -183,30 +185,22 @@ class BinPickLog:
         return 100.0 * self.cleared / self.n_objects if self.n_objects else 0.0
 
     def to_dict(self):
-        return {
-            "seed": self.seed,
-            "n_objects": self.n_objects,
-            "attempts": self.attempts,
-            "successes": self.successes,
-            "cleared": self.cleared,
-            "success_rate": self.success_rate,
-            "percent_cleared": self.percent_cleared,
-        }
+        return {**vars(self), "success_rate": self.success_rate, "percent_cleared": self.percent_cleared}
 
 
 def run_bin_picking(scene, detector, model):
     """Run the sequential picking loop on ``scene`` (mutated in place).
 
-    Each attempt scores the detector's first 100 grasps.  Stops when (a) no
-    blocks remain or (b) the same nearest object fails five times in a row.
-    Returns a BinPickLog.
+    Each attempt scores the detector's first ``GroupingThresholds.max_output``
+    grasps, the default grasp cap.  Stops when (a) no blocks remain or (b)
+    the same nearest object fails five times in a row.  Returns a BinPickLog.
     """
     log = BinPickLog(seed=scene.seed, n_objects=len(scene.blocks))
     consecutive = 0
     last_failure_key = None
     while scene.blocks:
         depth_image = scene.render()
-        grasps = list(detector(depth_image))[:100]
+        grasps = list(detector(depth_image))[: GroupingThresholds.max_output]
         attempt = {"attempt": len(log.attempts) + 1}
         best = block = None
         success = False

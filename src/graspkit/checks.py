@@ -66,6 +66,8 @@ _SAMPLERS = {"detection": _detection_sample, "detection_center": _detection_cent
 
 def run_gradcheck_battery(seed=0, points=100, step=1e-5, tolerance=1e-4):
     """Finite-difference validation of all five losses at random smooth points."""
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     rng = np.random.default_rng(seed)
     results = {}
     for name, sample in _SAMPLERS.items():

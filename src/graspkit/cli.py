@@ -18,7 +18,7 @@ import numpy as np
 
 from .bundle import read_bundle, read_gktb, write_bundle
 from .checks import run_gradcheck_battery, run_selftest
-from .decoder import decode_bundle
+from .decoder import TOP_K, decode_bundle
 from .depth import GripperModel2D, read_depth_gktb, score_grasps
 from .encoder import EncoderConfig, ideal_bundle
 from .evaluator import MatchCriteria, evaluate_dataset
@@ -242,13 +242,13 @@ def build_parser():
     p = sub.add_parser("decode", help="extract top-k keypoints from a bundle")
     p.add_argument("--bundle", required=True)
     p.add_argument("--profile", required=True, choices=list(PROFILES))
-    p.add_argument("--k", type=int, default=100)
+    p.add_argument("--k", type=int, default=TOP_K)
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("group", help="group a bundle into ranked grasps")
     p.add_argument("--bundle", required=True)
     p.add_argument("--profile", required=True, choices=list(PROFILES))
-    p.add_argument("--k", type=int, default=100)
+    p.add_argument("--k", type=int, default=TOP_K)
     p.add_argument("--top", type=int, default=None)
     p.add_argument("--rho-embed", type=float, default=None)
     p.add_argument("--rho-cen", type=float, default=None)

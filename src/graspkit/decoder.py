@@ -29,6 +29,8 @@ import numpy as np
 
 from .bundle import PayloadError
 
+TOP_K = 100  # the keypoint budget: top-k keypoints decoded per role
+
 
 @dataclass(frozen=True)
 class DetectedKeypoint:
@@ -189,7 +191,7 @@ def _decode(bundle, k):
     return [_keypoint_arrays(*planes, k, bundle.downsample_ratio) for planes in roles]
 
 
-def decode_bundle(bundle, k=100):
+def decode_bundle(bundle, k=TOP_K):
     """Decode both keypoint roles of a bundle with identical rules, 3x3
     suppression included."""
     left, right = _decode(bundle, k)

@@ -17,11 +17,13 @@ end-to-end decoder/grouper tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .bundle import HeatmapBundle
+from .decoder import TOP_K
 from .geometry import angle_to_class, grasp_to_pair
 from .losses import ground_truth_offset
 
@@ -50,6 +52,12 @@ class EncoderConfig:
     image_width: int
     num_classes: int
     downsample_ratio: int = 4
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
 
     @property
     def heatmap_shape(self):
@@ -172,22 +180,20 @@ def ideal_bundle(grasps, config, seed=0):
     Keypoint and center peaks are exact unit maxima, offsets are exact, and
     each grasp's left/right embeddings are equal to each other while pair
     means of different grasps stay >= 1.5 apart (deterministic per seed).
-    More than 100 grasps, the decoder's default top-k budget, raise
-    :class:`CapacityError`.
+    More than ``decoder.TOP_K`` grasps, the decoder's default top-k budget,
+    raise :class:`CapacityError`.
     """
     grasps = list(grasps)
-    if len(grasps) > 100:
-        raise CapacityError(f"{len(grasps)} grasps exceed the top-100 decoding budget")
+    if len(grasps) > TOP_K:
+        raise CapacityError(f"{len(grasps)} grasps exceed the top-{TOP_K} decoding budget")
     bundle, index = encode_targets(grasps, config)
-    embed_l = np.full(bundle.embedL.shape, _BG_EMBED_LEFT, dtype=np.float32)
-    embed_r = np.full(bundle.embedR.shape, _BG_EMBED_RIGHT, dtype=np.float32)
+    bundle.embedL.fill(_BG_EMBED_LEFT)
+    bundle.embedR.fill(_BG_EMBED_RIGHT)
     rng = np.random.default_rng(seed)
     base = rng.uniform(2.0, 2.5)
     ranks = rng.permutation(len(index))
     for enc, rank in zip(index, ranks):
         value = np.float32(base + 1.5 * rank)
-        embed_l[enc.left_pixel] = value
-        embed_r[enc.right_pixel] = value
-    bundle.embedL = embed_l
-    bundle.embedR = embed_r
+        bundle.embedL[enc.left_pixel] = value
+        bundle.embedR[enc.right_pixel] = value
     return bundle

@@ -317,27 +317,19 @@ def _rotated_ious(rects, pairs):
     """:func:`rotated_iou` of ``rects[i]`` and ``rects[j]`` for each index
     pair ``(i, j)``, as a list.
 
-    Corners and areas are computed once per rectangle that some pair uses,
-    the clip of each pair runs on Python floats, and the intersection areas
-    take one shoelace call per vertex count.  Raises ``ValueError`` at the
-    first pair, in order, whose areas overflow.
+    Corners and areas are computed once per rectangle, the clip of each
+    pair runs on Python floats, and the intersection areas take one
+    shoelace call per vertex count.  Raises ``ValueError`` at the first
+    pair, in order, whose areas overflow.
     """
-    slot = {}
-    for i, j in pairs:
-        slot.setdefault(i, len(slot))
-        slot.setdefault(j, len(slot))
-    if not slot:
+    if not pairs:
         return []
-    used = [rects[i] for i in slot]
-    keys = [(r.center, r.width, r.height, r.theta) for r in used]
-    ordered = []
-    for i, j in pairs:
-        a, b = slot[i], slot[j]
-        # canonical order, so the result is exactly symmetric
-        ordered.append((b, a) if keys[b] < keys[a] else (a, b))
+    keys = [(r.center, r.width, r.height, r.theta) for r in rects]
+    # canonical order, so the result is exactly symmetric
+    ordered = [(j, i) if keys[j] < keys[i] else (i, j) for i, j in pairs]
     # an overflow shows as a non-finite union below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        corners = _corners(used)
+        corners = _corners(rects)
         areas = _shoelace(corners).tolist()
         corners = corners.tolist()
         inters = _polygon_areas([_clip_convex(corners[a], corners[b]) for a, b in ordered])

@@ -13,11 +13,12 @@ stage functions wrap the same steps.  An empty result is valid output.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import DetectedKeypoint, _decode, _detected
+from .decoder import TOP_K, DetectedKeypoint, _decode, _detected
 from .decoder import decode_bundle  # noqa: F401  (bench/spans.py traces it under this module)
 from .geometry import _center_form, angle_diff, class_to_angle, wrap_angle
 
@@ -29,13 +30,13 @@ class GroupingThresholds:
     rho_embed: float
     rho_cen: float
     tau_orient: float
-    max_output: int = 100
+    max_output: int = 100  # the grasp cap: ranked grasps kept per bundle
 
     def __post_init__(self):
-        if self.rho_embed < 0 or self.rho_cen < 0 or self.tau_orient < 0:
-            raise ValueError("thresholds must be nonnegative")
-        if self.max_output < 1:
-            raise ValueError(f"max_output must be >= 1, got {self.max_output}")
+        if not (self.rho_embed >= 0 and self.rho_cen >= 0 and self.tau_orient >= 0):
+            raise ValueError("thresholds must be nonnegative numbers, not NaN")
+        if not isinstance(self.max_output, numbers.Integral) or self.max_output < 1:
+            raise ValueError(f"max_output must be an integer >= 1, got {self.max_output!r}")
 
 
 @dataclass(frozen=True)
@@ -156,14 +157,14 @@ def _ranked(bundle, thresholds, k):
     return left, right, [a[order] for a in pairs]
 
 
-def group_candidates(bundle, thresholds, k=100):
+def group_candidates(bundle, thresholds, k=TOP_K):
     """Full grouping pipeline; returns ranked GraspCandidates (<= max_output)."""
     left, right, (li, ri, *rest) = _ranked(bundle, thresholds, k)
     lkps, rkps = _detected([a[li] for a in left], "left"), _detected([a[ri] for a in right], "right")
     return _candidates(lkps, rkps, *rest)
 
 
-def group(bundle, thresholds, k=100):
+def group(bundle, thresholds, k=TOP_K):
     """Ranked center-form grasps for a bundle (possibly empty), built from
     each survivor's canonically ordered keypoints, theta from ``math.atan2``."""
     left, right, (li, ri, *_) = _ranked(bundle, thresholds, k)

@@ -27,7 +27,7 @@ CORNELL = Profile(
     name="cornell",
     num_classes=18,
     downsample_ratio=4,
-    thresholds=GroupingThresholds(rho_embed=1.0, rho_cen=0.05, tau_orient=0.24, max_output=100),
+    thresholds=GroupingThresholds(rho_embed=1.0, rho_cen=0.05, tau_orient=0.24),
     eval_height=23.33,
     channel_stats=CORNELL_STATS,
 )
@@ -36,7 +36,7 @@ AJD = Profile(
     name="ajd",
     num_classes=36,
     downsample_ratio=4,
-    thresholds=GroupingThresholds(rho_embed=0.65, rho_cen=0.15, tau_orient=0.1745, max_output=100),
+    thresholds=GroupingThresholds(rho_embed=0.65, rho_cen=0.15, tau_orient=0.1745),
     eval_height=20.0,
     channel_stats=AJD_STATS,
 )

@@ -424,3 +424,27 @@ def test_evaluate_on_a_non_utf8_annotation_file_names_the_line(tmp_path, annotat
     assert out.getvalue() == ""
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: line 2: "), err.getvalue()
+
+
+def run_in_process(*argv):
+    """``main(argv)`` with stdout and stderr captured, as ``run_cli`` returns them."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
+@pytest.mark.parametrize("flag", ["--rho-embed", "--rho-cen", "--tau-orient"])
+def test_group_nan_threshold_is_data_error(tmp_path, annotations, flag):
+    bundle = tmp_path / "b.gktb"
+    proc = run_in_process("encode", "--annotations", str(annotations), "--profile", "cornell",
+                          "--image-size", "228x228", "--out", str(bundle))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_in_process("group", "--bundle", str(bundle), "--profile", "cornell", flag, "nan")
+    assert_data_error(proc)
+    assert "NaN" in proc.stderr
+
+
+@pytest.mark.parametrize("points", ["0", "-2"])
+def test_gradcheck_without_points_is_data_error(points):
+    assert_data_error(run_in_process("gradcheck", "--points", points))

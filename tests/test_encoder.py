@@ -138,3 +138,19 @@ def test_ideal_bundle_decodes_back_to_annotations():
     bundle = ideal_bundle(grasps, CFG, seed=5)
     found = group(bundle, CORNELL.thresholds)
     assert recovered_fraction(grasps, found, 23.33, np.pi / 36) == 1.0
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("downsample_ratio", 0), ("downsample_ratio", -4), ("downsample_ratio", 2.5), ("num_classes", 0),
+     ("image_height", 0), ("image_width", -1), ("image_height", 228.0), ("num_classes", "18")],
+)
+def test_config_rejects_sizes_the_encoder_cannot_use(name, value):
+    sizes = {"image_height": 228, "image_width": 228, "num_classes": 18, "downsample_ratio": 4, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+        EncoderConfig(**sizes)
+
+
+def test_config_accepts_numpy_integers():
+    config = EncoderConfig(np.int64(228), np.int32(229), np.int64(18), np.int64(4))
+    assert config.heatmap_shape == (57, 58)

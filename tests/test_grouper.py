@@ -419,3 +419,20 @@ def test_non_finite_values_off_the_selected_keypoints_are_not_read():
         plane[..., 5:9, 5:9] = np.nan
     assert _grasp_bits(group(bundle, th, k=60)) == want
     assert want
+
+
+@pytest.mark.parametrize("name", ["rho_embed", "rho_cen", "tau_orient"])
+def test_nan_threshold_raises(name):
+    values = {"rho_embed": 1.0, "rho_cen": 0.05, "tau_orient": 0.24, name: math.nan}
+    with pytest.raises(ValueError, match="NaN"):
+        GroupingThresholds(**values)
+
+
+@pytest.mark.parametrize("max_output", [2.5, 100.0, "100", None])
+def test_max_output_that_is_not_an_integer_raises(max_output):
+    with pytest.raises(ValueError, match="max_output must be an integer"):
+        GroupingThresholds(1.0, 0.05, 0.24, max_output=max_output)
+
+
+def test_integer_max_output_of_any_integer_type_is_accepted():
+    assert GroupingThresholds(1.0, 0.05, 0.24, max_output=np.int64(3)).max_output == 3

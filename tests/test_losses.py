@@ -204,3 +204,9 @@ def test_gradcheck_report_to_dict_json():
         '{"max_error": 1.5e-08, "worst_coordinate": [1, 2], "n_coordinates": 10, '
         '"step": 1e-05, "rel_tol": 0.0001, "abs_floor": 1e-07, "passed": true}'
     )
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_gradcheck_battery_needs_at_least_one_point(points):
+    with pytest.raises(ValueError, match=f"points must be >= 1, got {points}"):
+        run_gradcheck_battery(points=points)
