@@ -23,7 +23,7 @@ from .depth import GripperModel2D, read_depth_gktb, score_grasps
 from .encoder import EncoderConfig, ideal_bundle
 from .evaluator import MatchCriteria, evaluate_dataset
 from .geometry import grasp_to_record, read_annotation_groups, read_annotations
-from .grouper import group
+from .grouper import GroupingThresholds, group
 from .binpick import make_scene, oracle_detector, pipeline_detector, run_bin_picking
 from .dataset import classify_annotation, coverage_ratio
 from .profiles import PROFILES, get_profile
@@ -55,16 +55,8 @@ def _parse_size(text):
 
 
 def _thresholds(args, profile):
-    overrides = {
-        name: value
-        for name, value in (
-            ("rho_embed", args.rho_embed),
-            ("rho_cen", args.rho_cen),
-            ("tau_orient", args.tau_orient),
-            ("max_output", args.top),
-        )
-        if value is not None
-    }
+    names = [f.name for f in dataclasses.fields(GroupingThresholds)]
+    overrides = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     return dataclasses.replace(profile.thresholds, **overrides), overrides
 
 
@@ -170,6 +162,8 @@ def _cmd_score(args):
 
 def _cmd_simulate(args):
     profile = get_profile(args.profile)
+    if args.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {args.trials}")
     model = GripperModel2D()
     for trial in range(args.trials):
         seed = args.seed + trial
@@ -204,9 +198,8 @@ def _cmd_filter_jacquard(args):
         bad = np.setdiff1d(np.unique(mask), [0.0, 1.0])
         if bad.size:
             raise ValueError(f"mask {mask_path} holds non-binary values {bad[:4].tolist()}")
-        ratio = coverage_ratio(grasps, mask)
-        decision = classify_annotation(ratio)
-        records.append({"imageId": image_id, "ratio": decision.ratio, "decision": decision.decision})
+        decision = classify_annotation(coverage_ratio(grasps, mask))
+        records.append({"imageId": image_id, **vars(decision)})
     Path(args.out).write_text(json.dumps(records, indent=2) + "\n")
     for rec in records:
         _emit(rec)
@@ -249,7 +242,7 @@ def build_parser():
     p.add_argument("--bundle", required=True)
     p.add_argument("--profile", required=True, choices=list(PROFILES))
     p.add_argument("--k", type=int, default=TOP_K)
-    p.add_argument("--top", type=int, default=None)
+    p.add_argument("--top", type=int, default=None, dest="max_output", metavar="TOP")
     p.add_argument("--rho-embed", type=float, default=None)
     p.add_argument("--rho-cen", type=float, default=None)
     p.add_argument("--tau-orient", type=float, default=None)
@@ -299,14 +292,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except _UsageError as exc:  # from argparse, or from an option a command parses itself
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -109,15 +109,7 @@ class GraspScore:
         return self.total >= 0.0
 
     def to_dict(self):
-        def _num(v):
-            return None if math.isnan(v) else float(v)
-
-        return {
-            "collision": _num(self.collision),
-            "occupancy": _num(self.occupancy),
-            "height": _num(self.height),
-            "total": float(self.total),
-        }
+        return {name: None if math.isnan(v) else float(v) for name, v in vars(self).items()}
 
 
 def _center_pixel(g, shape):
@@ -231,7 +223,7 @@ def score_grasps(grasps, depth_image, model):
     for g in grasps:
         try:
             scored.append((g, score_grasp(g, depth_image, model)))
-        except (GripperCapacityError, DegenerateRegionError, ValueError):
+        except ValueError:  # GripperCapacityError and DegenerateRegionError included
             scored.append((g, GraspScore.failed()))
     scored.sort(key=lambda pair: -pair[1].total)
     return scored

@@ -74,7 +74,6 @@ class EncodedGrasp:
     class_index: int
     left_pixel: tuple
     right_pixel: tuple
-    center_pixel: tuple
     left_offset: tuple
     right_offset: tuple
 
@@ -146,7 +145,6 @@ def encode_targets(grasps, config):
                 class_index=cls,
                 left_pixel=(lrow, lcol),
                 right_pixel=(rrow, rcol),
-                center_pixel=(crow, ccol),
                 left_offset=(lox, loy),
                 right_offset=(rox, roy),
             )

@@ -61,13 +61,8 @@ class EvalReport:
     fps: float | None = None
 
     def to_dict(self):
-        return {
-            "total": self.total,
-            "correct": self.correct,
-            "accuracy": self.accuracy,
-            "fps": self.fps,
-            "per_image": [r.to_dict() for r in self.per_image],
-        }
+        rec = {name: v for name, v in vars(self).items() if name != "per_image"}
+        return {**rec, "per_image": [r.to_dict() for r in self.per_image]}
 
 
 def is_match(pred, truth, criteria):

@@ -198,6 +198,8 @@ def gradient_check(fn, point, step=1e-5, rel_tol=1e-4):
     abs_floor = 1e-7
     if not 1e-7 <= step <= 1e-3:
         raise ValueError(f"step {step} outside [1e-7, 1e-3]")
+    if not 0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
     x0 = np.asarray(point, dtype=float)
     _, g_an = fn(x0)
     g_an = np.asarray(g_an, dtype=float)

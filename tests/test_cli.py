@@ -448,3 +448,102 @@ def test_group_nan_threshold_is_data_error(tmp_path, annotations, flag):
 @pytest.mark.parametrize("points", ["0", "-2"])
 def test_gradcheck_without_points_is_data_error(points):
     assert_data_error(run_in_process("gradcheck", "--points", points))
+
+
+@pytest.mark.parametrize("tolerance", ["0", "nan", "-1", "inf"])
+def test_gradcheck_without_a_finite_positive_tolerance_is_data_error(tolerance):
+    proc = run_in_process("gradcheck", "--points", "2", "--tolerance", tolerance)
+    assert_data_error(proc)
+    assert "rel_tol must be finite and > 0" in proc.stderr
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_simulate_binpick_without_trials_is_data_error(trials):
+    proc = run_in_process("simulate-binpick", "--trials", trials)
+    assert_data_error(proc)
+    assert f"trials must be >= 1, got {trials}" in proc.stderr
+
+
+@pytest.mark.parametrize("size", ["228", "228x", "axb", "228x228x3"])
+def test_encode_malformed_image_size_is_usage_error(tmp_path, annotations, size):
+    out = tmp_path / "b.gktb"
+    proc = run_in_process("encode", "--annotations", str(annotations), "--profile", "cornell",
+                          "--image-size", size, "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"usage error: --image-size must look like 256x256, got {size!r}"]
+    assert not out.exists()
+
+
+def test_group_overrides_follow_the_thresholds_field_order(tmp_path, annotations):
+    bundle = tmp_path / "b.gktb"
+    assert run_in_process("encode", "--annotations", str(annotations), "--profile", "cornell",
+                          "--image-size", "228x228", "--out", str(bundle)).returncode == 0
+    proc = run_in_process("group", "--bundle", str(bundle), "--profile", "cornell", "--top", "1",
+                          "--tau-orient", "0.3", "--rho-cen", "0.01", "--rho-embed", "0.5")
+    assert proc.returncode == 0, proc.stderr
+    overrides = json.loads(proc.stderr.splitlines()[-1])["overrides"]
+    assert list(overrides.items()) == [
+        ("rho_embed", 0.5), ("rho_cen", 0.01), ("tau_orient", 0.3), ("max_output", 1)
+    ]
+    assert len(jsonl(proc.stdout)) == 1
+
+
+def test_group_help_names_the_cap_option_top():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        main(["group", "--help"])
+    assert "[--top TOP]" in out.getvalue() and "--top TOP" in out.getvalue()
+    assert "MAX_OUTPUT" not in out.getvalue()
+
+
+def test_score_empty_grasp_file_is_data_error(tmp_path):
+    _, depth_path = _score_inputs(tmp_path)
+    empty = tmp_path / "none.jsonl"
+    empty.write_text("\n")
+    proc = run_in_process("score", "--grasps", str(empty), "--depth", str(depth_path))
+    assert_data_error(proc)
+    assert "no grasps in" in proc.stderr
+
+
+def _jacquard_dirs(tmp_path, mask_values):
+    ann_dir, mask_dir = tmp_path / "ann", tmp_path / "masks"
+    ann_dir.mkdir()
+    mask_dir.mkdir()
+    write_annotations([Grasp(30, 30, 0.0, 50, h=50)], ann_dir / "img.jsonl")
+    mask = np.zeros((1, 60, 60), np.float32)
+    mask[0, 20:40, 20:40] = mask_values
+    write_gktb(mask_dir / "img.gktb", [("mask", mask)], num_classes=0, downsample_ratio=1)
+    return ann_dir, mask_dir
+
+
+@pytest.mark.parametrize("missing", ["annotations", "masks"])
+def test_filter_jacquard_missing_directory_is_data_error(tmp_path, missing):
+    ann_dir, mask_dir = _jacquard_dirs(tmp_path, 1.0)
+    dirs = {"annotations": ann_dir, "masks": mask_dir}
+    dirs[missing] = tmp_path / "absent"
+    out = tmp_path / "r.json"
+    proc = run_in_process("filter-jacquard", "--annotations", str(dirs["annotations"]),
+                          "--masks", str(dirs["masks"]), "--out", str(out))
+    assert_data_error(proc)
+    assert "absent does not exist" in proc.stderr
+    assert not out.exists()
+
+
+def test_filter_jacquard_non_binary_mask_is_data_error(tmp_path):
+    ann_dir, mask_dir = _jacquard_dirs(tmp_path, 0.5)
+    proc = run_in_process("filter-jacquard", "--annotations", str(ann_dir), "--masks", str(mask_dir),
+                          "--out", str(tmp_path / "r.json"))
+    assert_data_error(proc)
+    assert "non-binary values [0.5]" in proc.stderr
+
+
+def test_filter_jacquard_record_is_the_id_then_the_decision_fields(tmp_path):
+    ann_dir, mask_dir = _jacquard_dirs(tmp_path, 1.0)
+    out = tmp_path / "r.json"
+    proc = run_in_process("filter-jacquard", "--annotations", str(ann_dir), "--masks", str(mask_dir),
+                          "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    (rec,) = json.loads(out.read_text())
+    assert list(rec.items()) == [("imageId", "img"), ("ratio", 1.0), ("decision", "keep")]
+    assert jsonl(proc.stdout) == [rec]

@@ -367,3 +367,14 @@ def test_depth_image_requires_finite_positive_values(bad):
 def test_empty_depth_image_rejected():
     with pytest.raises(ValueError, match="finite, strictly positive"):
         DepthImage(np.zeros((0, 5), np.float32), np.zeros((0, 5), np.float32))
+
+
+def test_grasp_score_record_lists_its_fields_in_order():
+    s = GraspScore.compute(1.0, 0.25, 0.5)
+    assert list(s.to_dict().items()) == [
+        ("collision", 1.0), ("occupancy", 0.25), ("height", 0.5), ("total", 1.75)
+    ]
+    assert list(GraspScore.failed().to_dict().items()) == [
+        ("collision", None), ("occupancy", None), ("height", None), ("total", -1.0)
+    ]
+    assert all(type(v) is float for v in GraspScore.compute(np.float32(1), 0, 1).to_dict().values())

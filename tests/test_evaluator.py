@@ -329,3 +329,14 @@ def test_image_result_to_dict_json():
     assert json.dumps(ImageResult("b", False, 0.0, 0.25).to_dict()) == (
         '{"image_id": "b", "matched": false, "best_jaccard": 0.0, "best_angle_diff": 0.25}'
     )
+
+
+def test_eval_report_json_keeps_its_key_order():
+    truths = {"a": [Grasp(50.0, 50.0, 0.0, 20.0, 10.0)], "b": [Grasp(80.0, 80.0, 1.0, 20.0, 10.0)]}
+    preds = {"a": [Grasp(50.0, 50.0, 0.0, 20.0)], "b": []}
+    report = evaluate_dataset(preds, truths, CORNELL_CRIT)
+    out = report.to_dict()
+    assert list(out) == ["total", "correct", "accuracy", "fps", "per_image"]
+    assert (out["total"], out["correct"], out["accuracy"], out["fps"]) == (2, 1, 0.5, None)
+    assert out["per_image"] == [r.to_dict() for r in report.per_image]
+    assert [r["image_id"] for r in out["per_image"]] == ["a", "b"]

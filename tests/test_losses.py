@@ -210,3 +210,12 @@ def test_gradcheck_report_to_dict_json():
 def test_gradcheck_battery_needs_at_least_one_point(points):
     with pytest.raises(ValueError, match=f"points must be >= 1, got {points}"):
         run_gradcheck_battery(points=points)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, math.nan, -1.0, math.inf])
+def test_gradient_check_needs_a_finite_positive_tolerance(tolerance):
+    point = np.array([[0.3, -0.2]])
+    with pytest.raises(ValueError, match="rel_tol must be finite and > 0"):
+        gradient_check(pull_loss, point, rel_tol=tolerance)
+    with pytest.raises(ValueError, match="rel_tol must be finite and > 0"):
+        run_gradcheck_battery(points=1, tolerance=tolerance)
