@@ -43,6 +43,12 @@ _PLANE_COUNTS = {"left": None, "right": None, "center": 1, "offsetL": 2, "offset
 CANONICAL_PLANES = tuple(_PLANE_COUNTS)
 
 
+def _plane_shape(name, num_classes, height, width):
+    """The shape a bundle holds plane ``name`` in, by ``_PLANE_COUNTS``."""
+    count = _PLANE_COUNTS[name]
+    return (height, width) if count == 1 else (count or num_classes, height, width)
+
+
 class GKTBError(ValueError):
     """Base class for every bundle format / validation failure."""
 
@@ -123,11 +129,11 @@ class HeatmapBundle:
             raise DimensionError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.downsample_ratio < 1:
             raise DimensionError(f"downsample_ratio must be >= 1, got {self.downsample_ratio}")
-        h, w = self.center.shape
+        h, w = self.center.shape[-2:]
         # one min/max pair per plane: NaN and infinities carry through both
         bounds = {}
-        for (name, arr), count in zip(self.planes(), _PLANE_COUNTS.values()):
-            expected = (count or self.num_classes, h, w)
+        for name in _PLANE_COUNTS:
+            arr, expected = getattr(self, name), _plane_shape(name, self.num_classes, h, w)
             if arr.shape != expected:
                 raise DimensionError(
                     f"plane {name}: shape {arr.shape} does not match expected {expected}"
@@ -324,8 +330,7 @@ def read_bundle(src):
         want, got = count or num_classes, by_name[name].shape[0]
         if got != want:
             raise DimensionError(f"plane {name}: expected {want} plane(s), header declares {got}")
-        if count == 1:
-            by_name[name] = by_name[name][0]
+        by_name[name] = by_name[name].reshape(_plane_shape(name, num_classes, *by_name[name].shape[1:]))
     bundle = HeatmapBundle(**by_name, num_classes=num_classes,
                            downsample_ratio=int(header["downsample_ratio"]))
     return bundle.validate()

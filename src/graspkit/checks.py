@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import losses
-from .bundle import HeatmapBundle, read_bundle, write_bundle
+from .bundle import _PLANE_COUNTS, HeatmapBundle, _plane_shape, read_bundle, write_bundle
 from .encoder import EncoderConfig, ideal_bundle
 from .geometry import Grasp, rect_from_grasp, rotated_iou, wrap_angle
 from .grouper import group
@@ -144,14 +144,9 @@ def random_bundle(rng):
     c = int(rng.integers(1, 5))
     h = int(rng.integers(2, 12))
     w = int(rng.integers(2, 12))
-    return HeatmapBundle(
-        left=rng.random((c, h, w), dtype=np.float32),
-        right=rng.random((c, h, w), dtype=np.float32),
-        center=rng.random((h, w), dtype=np.float32),
-        offsetL=rng.random((2, h, w), dtype=np.float32),
-        offsetR=rng.random((2, h, w), dtype=np.float32),
-        embedL=rng.normal(size=(h, w)).astype(np.float32),
-        embedR=rng.normal(size=(h, w)).astype(np.float32),
-        num_classes=c,
-        downsample_ratio=int(rng.integers(1, 8)),
-    )
+    planes = {}
+    for name in _PLANE_COUNTS:
+        shape = _plane_shape(name, c, h, w)
+        planes[name] = (rng.normal(size=shape).astype(np.float32) if name.startswith("embed")
+                        else rng.random(shape, dtype=np.float32))
+    return HeatmapBundle(**planes, num_classes=c, downsample_ratio=int(rng.integers(1, 8)))

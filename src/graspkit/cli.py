@@ -118,13 +118,13 @@ def _cmd_decode(args):
 def _cmd_group(args):
     profile, bundle = _profile_and_bundle(args)
     thresholds, overrides = _thresholds(args, profile)
-    grasps = group(bundle, thresholds, k=args.k)
+    grasps = group(bundle, thresholds)
     for g in grasps:
         rec = grasp_to_record(g)
         if args.image_id is not None:
             rec["image_id"] = args.image_id
         _emit(rec)
-    _diag({"profile": profile.name, "k": args.k, "overrides": overrides, "grasps": len(grasps)})
+    _diag({"profile": profile.name, "k": TOP_K, "overrides": overrides, "grasps": len(grasps)})
     return 0
 
 
@@ -207,9 +207,7 @@ def _cmd_filter_jacquard(args):
 
 
 def _cmd_gradcheck(args):
-    report = run_gradcheck_battery(
-        seed=args.seed, points=args.points, step=args.step, tolerance=args.tolerance
-    )
+    report = run_gradcheck_battery(seed=args.seed, points=args.points, tolerance=args.tolerance)
     _emit(report)
     return 0 if report["passed"] else 2
 
@@ -241,7 +239,6 @@ def build_parser():
     p = sub.add_parser("group", help="group a bundle into ranked grasps")
     p.add_argument("--bundle", required=True)
     p.add_argument("--profile", required=True, choices=list(PROFILES))
-    p.add_argument("--k", type=int, default=TOP_K)
     p.add_argument("--top", type=int, default=None, dest="max_output", metavar="TOP")
     p.add_argument("--rho-embed", type=float, default=None)
     p.add_argument("--rho-cen", type=float, default=None)
@@ -280,7 +277,6 @@ def build_parser():
     p = sub.add_parser("gradcheck", help="finite-difference validation of loss gradients")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--points", type=int, default=100)
-    p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=_cmd_gradcheck)
 

@@ -50,7 +50,8 @@ def suppress_non_maxima(stack):
     Pixels outside the plane count as 0.0, so on a plane with negative
     values the border pixels are suppressed.
     """
-    arr = np.asarray(stack, dtype=np.float32)
+    with np.errstate(over="ignore"):  # a value beyond the float32 range becomes inf
+        arr = np.asarray(stack, dtype=np.float32)
     padded = np.pad(arr, [(0, 0)] * (arr.ndim - 2) + [(1, 1), (1, 1)])
     rows = np.maximum(padded[..., :-2, :], padded[..., 1:-1, :])
     np.maximum(rows, padded[..., 2:, :], out=rows)
@@ -154,7 +155,8 @@ def _keypoint_arrays(heatmaps, embeddings, offsets, k, ratio, suppress=True):
     A selected keypoint's non-finite offset or embedding raises PayloadError."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    stack = np.asarray(heatmaps, dtype=np.float32)
+    with np.errstate(over="ignore"):  # a value beyond the float32 range becomes inf
+        stack, offsets, embeddings = (np.asarray(a, dtype=np.float32) for a in (heatmaps, offsets, embeddings))
     if stack.ndim == 2:
         stack = stack[None]
     _, h, w = stack.shape
@@ -162,8 +164,8 @@ def _keypoint_arrays(heatmaps, embeddings, offsets, k, ratio, suppress=True):
     top = _top_peaks(stack, k) if suppress else _top_k(flat, np.flatnonzero(flat > 0), k)
     cls, rem = np.divmod(top, h * w)
     rows, cols = np.divmod(rem, w)
-    off = np.asarray(offsets, dtype=np.float32)[:, rows, cols]
-    emb = np.asarray(embeddings, dtype=np.float32)[rows, cols]
+    off = offsets[:, rows, cols]
+    emb = embeddings[rows, cols]
     if not (np.isfinite(off).all() and np.isfinite(emb).all()):
         raise PayloadError("non-finite offset or embedding at a selected keypoint")
     xs = np.clip((cols + off[0]) * ratio, 0.0, w * ratio)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bundle import HeatmapBundle
+from .bundle import _PLANE_COUNTS, HeatmapBundle, _plane_shape
 from .decoder import TOP_K
 from .geometry import angle_to_class, grasp_to_pair
 from .losses import ground_truth_offset
@@ -101,14 +101,11 @@ def encode_targets(grasps, config):
     hm_h, hm_w = config.heatmap_shape
     r = config.downsample_ratio
     n_cls = config.num_classes
-    left = np.zeros((n_cls, hm_h, hm_w), dtype=np.float32)
-    right = np.zeros((n_cls, hm_h, hm_w), dtype=np.float32)
-    center = np.zeros((hm_h, hm_w), dtype=np.float32)
-    off_l = np.zeros((2, hm_h, hm_w), dtype=np.float32)
-    off_r = np.zeros((2, hm_h, hm_w), dtype=np.float32)
-
-    seen_left = set()
-    seen_right = set()
+    bundle = HeatmapBundle(**{name: np.zeros(_plane_shape(name, n_cls, hm_h, hm_w), dtype=np.float32)
+                              for name in _PLANE_COUNTS}, num_classes=n_cls, downsample_ratio=r)
+    # per role: heatmap stack, offset stack, keypoint pixels taken so far
+    taken_left, taken_right = set(), set()
+    roles = ((bundle.left, bundle.offsetL, taken_left), (bundle.right, bundle.offsetR, taken_right))
     index = []
     for gi, g in enumerate(grasps):
         pair = grasp_to_pair(g)
@@ -119,48 +116,23 @@ def encode_targets(grasps, config):
                     f"{config.image_width}x{config.image_height} image"
                 )
         cls = angle_to_class(g.theta, n_cls)
-        (lx, ly), (rx, ry) = pair.left, pair.right
-        lrow, lcol = int(ly // r), int(lx // r)
-        rrow, rcol = int(ry // r), int(rx // r)
-        if (lrow, lcol) in seen_left or (rrow, rcol) in seen_right:
+        pixels = [(int(py // r), int(px // r)) for px, py in (pair.left, pair.right)]
+        if pixels[0] in taken_left or pixels[1] in taken_right:
             continue  # first grasp at this pixel wins
-        seen_left.add((lrow, lcol))
-        seen_right.add((rrow, rcol))
 
         sigma = max(1.0, g.w / (3.0 * r))
-        _splat(left[cls], lrow, lcol, sigma)
-        _splat(right[cls], rrow, rcol, sigma)
+        offsets = []
+        for point, (row, col), (heat, offset, taken) in zip((pair.left, pair.right), pixels, roles):
+            taken.add((row, col))
+            _splat(heat[cls], row, col, sigma)
+            ox, oy = ground_truth_offset(point, r)
+            offset[0, row, col] = min(np.float32(ox), _OFFSET_CEIL)
+            offset[1, row, col] = min(np.float32(oy), _OFFSET_CEIL)
+            offsets.append((ox, oy))
         crow, ccol = int(g.y // r), int(g.x // r)
-        _splat(center, crow, ccol, sigma)
+        _splat(bundle.center, crow, ccol, sigma)
+        index.append(EncodedGrasp(gi, cls, *pixels, *offsets))
 
-        lox, loy = ground_truth_offset((lx, ly), r)
-        rox, roy = ground_truth_offset((rx, ry), r)
-        off_l[0, lrow, lcol] = min(np.float32(lox), _OFFSET_CEIL)
-        off_l[1, lrow, lcol] = min(np.float32(loy), _OFFSET_CEIL)
-        off_r[0, rrow, rcol] = min(np.float32(rox), _OFFSET_CEIL)
-        off_r[1, rrow, rcol] = min(np.float32(roy), _OFFSET_CEIL)
-        index.append(
-            EncodedGrasp(
-                index=gi,
-                class_index=cls,
-                left_pixel=(lrow, lcol),
-                right_pixel=(rrow, rcol),
-                left_offset=(lox, loy),
-                right_offset=(rox, roy),
-            )
-        )
-
-    bundle = HeatmapBundle(
-        left=left,
-        right=right,
-        center=center,
-        offsetL=off_l,
-        offsetR=off_r,
-        embedL=np.zeros((hm_h, hm_w), dtype=np.float32),
-        embedR=np.zeros((hm_h, hm_w), dtype=np.float32),
-        num_classes=n_cls,
-        downsample_ratio=r,
-    )
     return bundle, index
 
 

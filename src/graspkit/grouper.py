@@ -65,7 +65,8 @@ def _kp_arrays(kps):
 def _center_scores(left, right, li, ri, center_map, ratio):
     """Center-heatmap confidence of the index pairs ``(li, ri)``, read at the
     heatmap pixel nearest the pair midpoint, clamped to map bounds."""
-    center = np.asarray(center_map, dtype=np.float32)
+    with np.errstate(over="ignore"):  # a value beyond the float32 range becomes inf
+        center = np.asarray(center_map, dtype=np.float32)
     h, w = center.shape
     cx = (left[0][li] + right[0][ri]) / 2.0
     cy = (left[1][li] + right[1][ri]) / 2.0

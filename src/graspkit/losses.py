@@ -200,6 +200,8 @@ def gradient_check(fn, point, step=1e-5, rel_tol=1e-4):
         raise ValueError(f"step {step} outside [1e-7, 1e-3]")
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
+    if not math.isfinite(abs_floor / rel_tol):
+        raise ValueError(f"rel_tol {rel_tol} is too small: abs_floor / rel_tol overflows")
     x0 = np.asarray(point, dtype=float)
     _, g_an = fn(x0)
     g_an = np.asarray(g_an, dtype=float)

@@ -476,3 +476,14 @@ def test_corrupt_streams_parse_or_raise_gktb_error(stream):
             read(io.BytesIO(stream))
         except GKTBError:
             pass
+
+
+def test_validate_and_write_reject_a_3d_center_with_dimension_error():
+    b = random_bundle(np.random.default_rng(17))
+    planes = {name: getattr(b, name) for name in CANONICAL_PLANES}
+    planes["center"] = b.center[None]  # (1, H, W), where a bundle holds (H, W)
+    bundle = HeatmapBundle(**planes, num_classes=b.num_classes, downsample_ratio=b.downsample_ratio)
+    with pytest.raises(DimensionError, match=r"plane center: shape \(1, \d+, \d+\) does not match"):
+        bundle.validate()
+    with pytest.raises(DimensionError, match="plane center"):
+        write_bundle(bundle, io.BytesIO())

@@ -547,3 +547,31 @@ def test_filter_jacquard_record_is_the_id_then_the_decision_fields(tmp_path):
     (rec,) = json.loads(out.read_text())
     assert list(rec.items()) == [("imageId", "img"), ("ratio", 1.0), ("decision", "keep")]
     assert jsonl(proc.stdout) == [rec]
+
+
+def test_gradcheck_tolerance_that_overflows_the_floor_is_data_error():
+    proc = run_in_process("gradcheck", "--points", "2", "--tolerance", "1e-320")
+    assert_data_error(proc)
+    assert "rel_tol 1e-320 is too small" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("gradcheck", "--points", "1", "--step", "1e-5"),
+    ("group", "--bundle", "b.gktb", "--profile", "cornell", "--k", "10"),
+])
+def test_removed_flags_are_usage_errors(argv):
+    proc = run_in_process(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"usage error: unrecognized arguments: {' '.join(argv[-2:])}"]
+
+
+def test_removed_flags_keep_their_reported_values(tmp_path, annotations):
+    bundle = tmp_path / "b.gktb"
+    assert run_in_process("encode", "--annotations", str(annotations), "--profile", "cornell",
+                          "--image-size", "228x228", "--out", str(bundle)).returncode == 0
+    proc = run_in_process("group", "--bundle", str(bundle), "--profile", "cornell")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1])["k"] == 100
+    report = json.loads(run_in_process("gradcheck", "--points", "1").stdout)
+    assert report["step"] == 1e-05

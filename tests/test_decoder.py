@@ -344,3 +344,25 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# A float64 value beyond the float32 range becomes inf without numpy's cast
+# warning, which the suite turns into an error.
+def test_suppress_non_maxima_float64_beyond_float32_is_inf_without_warning():
+    stack = np.zeros((2, 5, 5))
+    stack[1, 2, 2] = 1e39
+    out = suppress_non_maxima(stack)
+    assert out[1, 2, 2] == np.inf and np.count_nonzero(out) == 1
+
+
+@pytest.mark.parametrize("plane", ["heatmap", "offset", "embedding"])
+def test_select_float64_beyond_float32_without_warning(plane):
+    heat, off, emb = np.zeros((2, 5, 5)), np.zeros((2, 5, 5)), np.zeros((5, 5))
+    heat[1, 2, 2] = 0.5
+    {"heatmap": heat[1], "offset": off[0], "embedding": emb}[plane][2, 2] = 1e39
+    if plane == "heatmap":
+        (kp,) = select_grasp_keypoints(heat, emb, off, 3, 4)
+        assert (kp.x, kp.y, kp.class_index, kp.score) == (8.0, 8.0, 1, np.inf)
+    else:
+        with pytest.raises(decoder.PayloadError, match="non-finite offset or embedding"):
+            select_grasp_keypoints(heat, emb, off, 3, 4)

@@ -1,5 +1,7 @@
 """Target encoding: peaks, offsets, dedup and the ideal-bundle oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,21 @@ def test_config_rejects_sizes_the_encoder_cannot_use(name, value):
 def test_config_accepts_numpy_integers():
     config = EncoderConfig(np.int64(228), np.int32(229), np.int64(18), np.int64(4))
     assert config.heatmap_shape == (57, 58)
+
+
+@pytest.mark.parametrize("role", ["left", "right"])
+def test_dedup_first_wins_per_role_across_classes(role):
+    a = Grasp(60.0, 60.0, 0.0, 40.0)  # keypoints (40, 60) and (80, 60), class 9
+    # b, in class 12, puts only its `role` keypoint on a's pixel of that role
+    theta, half = 0.6, 20.0
+    sign = 1.0 if role == "left" else -1.0
+    sx, sy = (40.5, 60.5) if role == "left" else (80.5, 60.5)
+    b = Grasp(sx + sign * half * math.cos(theta), sy + sign * half * math.sin(theta), theta, 2 * half)
+    (enc_a,), (enc_b,) = encode_targets([a], CFG)[1], encode_targets([b], CFG)[1]
+    assert (enc_a.class_index, enc_b.class_index) == (9, 12)
+    same = (enc_a.left_pixel == enc_b.left_pixel, enc_a.right_pixel == enc_b.right_pixel)
+    assert same == ((True, False) if role == "left" else (False, True))
+    for first, second in ((a, b), (b, a)):
+        bundle, index = encode_targets([first, second], CFG)
+        assert [e.index for e in index] == [0]
+        assert bundle.equals(encode_targets([first], CFG)[0])  # the second grasp wrote nothing

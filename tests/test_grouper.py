@@ -436,3 +436,12 @@ def test_max_output_that_is_not_an_integer_raises(max_output):
 
 def test_integer_max_output_of_any_integer_type_is_accepted():
     assert GroupingThresholds(1.0, 0.05, 0.24, max_output=np.int64(3)).max_output == 3
+
+
+def test_extract_center_scores_float64_beyond_float32_is_inf_without_warning():
+    # numpy's cast warning would fail the suite
+    center = np.zeros((5, 5))
+    center[2, 2] = 1e39
+    left = [DetectedKeypoint(4.0, 8.0, 0, 1.0, 0.0, "left")]
+    right = [DetectedKeypoint(12.0, 8.0, 0, 1.0, 0.0, "right")]
+    assert extract_center_scores(left, right, center, 4).tolist() == [[np.inf]]

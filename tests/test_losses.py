@@ -219,3 +219,13 @@ def test_gradient_check_needs_a_finite_positive_tolerance(tolerance):
         gradient_check(pull_loss, point, rel_tol=tolerance)
     with pytest.raises(ValueError, match="rel_tol must be finite and > 0"):
         run_gradcheck_battery(points=1, tolerance=tolerance)
+
+
+def test_gradient_check_rejects_a_tolerance_that_overflows_the_floor():
+    # 1e-7 / 1e-320 is inf, which would make every per-coordinate error 0.0
+    point = np.array([[0.3, -0.2]])
+    with pytest.raises(ValueError, match="rel_tol 1e-320 is too small"):
+        gradient_check(pull_loss, point, rel_tol=1e-320)
+    with pytest.raises(ValueError, match="rel_tol 1e-320 is too small"):
+        run_gradcheck_battery(points=1, tolerance=1e-320)
+    assert gradient_check(pull_loss, point, rel_tol=1e-300).rel_tol == 1e-300
