@@ -75,19 +75,10 @@ class SyntheticScene:
         return DepthImage.flat_surface(depth, self.surface_mm)
 
     def block_at(self, x, y):
-        for b in self.blocks:
-            if b.contains(x, y):
-                return b
-        return None
+        return next((b for b in self.blocks if b.contains(x, y)), None)
 
     def nearest_block(self, x, y):
-        best, best_d = None, math.inf
-        for b in self.blocks:
-            cx, cy = b.center
-            d = math.hypot(cx - x, cy - y)
-            if d < best_d:
-                best, best_d = b, d
-        return best
+        return min(self.blocks, key=lambda b: math.dist(b.center, (x, y)), default=None)
 
     def remove(self, block_id):
         self.blocks = [b for b in self.blocks if b.block_id != block_id]

@@ -73,10 +73,15 @@ class ValueRangeError(GKTBError):
     """A heatmap or offset plane holds values outside its allowed range."""
 
 
-def _plane32(value, name):
-    # a value beyond the float32 range becomes inf, which validate() rejects
+def _float32(value):
+    """``value`` as a float32 array; a value beyond the float32 range becomes
+    +-inf without a numpy warning, for the caller's own finite check."""
     with np.errstate(over="ignore"):
-        arr = np.asarray(value, dtype=np.float32)
+        return np.asarray(value, dtype=np.float32)
+
+
+def _plane32(value, name):
+    arr = _float32(value)  # an overflow to inf fails validate()
     if arr.ndim not in (2, 3):
         raise DimensionError(f"plane {name}: expected 2-D or 3-D array, got ndim={arr.ndim}")
     return arr
@@ -171,8 +176,7 @@ def write_gktb(dest, planes, *, num_classes, downsample_ratio):
     so every stream it writes reads back.  Returns the number of bytes
     written.  ``dest`` may be a path or a binary file object.
     """
-    with np.errstate(over="ignore"):
-        named = [(str(name), np.asarray(arr, dtype=np.float32)) for name, arr in planes]
+    named = [(str(name), _float32(arr)) for name, arr in planes]
     for name, arr in named:
         if arr.ndim != 3:
             raise DimensionError(f"plane {name}: expected a 3-D array, got ndim={arr.ndim}")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundle import read_bundle, read_gktb, write_bundle
+from .bundle import DimensionError, read_bundle, read_gktb, write_bundle
 from .checks import run_gradcheck_battery, run_selftest
 from .decoder import TOP_K, decode_bundle
 from .depth import GripperModel2D, read_depth_gktb, score_grasps
@@ -194,6 +194,9 @@ def _cmd_filter_jacquard(args):
             raise ValueError(f"no mask file for image {image_id!r} (expected {mask_path})")
         grasps = read_annotations(ann_path)
         _, planes = read_gktb(mask_path)
+        if [arr.shape[0] for _, arr in planes] != [1]:
+            raise DimensionError(f"mask {mask_path} must hold one plane of count 1, "
+                                 f"got {[(name, arr.shape[0]) for name, arr in planes]}")
         mask = planes[0][1][0]
         bad = np.setdiff1d(np.unique(mask), [0.0, 1.0])
         if bad.size:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import PayloadError
+from .bundle import PayloadError, _float32
 
 TOP_K = 100  # the keypoint budget: top-k keypoints decoded per role
 
@@ -50,8 +50,7 @@ def suppress_non_maxima(stack):
     Pixels outside the plane count as 0.0, so on a plane with negative
     values the border pixels are suppressed.
     """
-    with np.errstate(over="ignore"):  # a value beyond the float32 range becomes inf
-        arr = np.asarray(stack, dtype=np.float32)
+    arr = _float32(stack)
     padded = np.pad(arr, [(0, 0)] * (arr.ndim - 2) + [(1, 1), (1, 1)])
     rows = np.maximum(padded[..., :-2, :], padded[..., 1:-1, :])
     np.maximum(rows, padded[..., 2:, :], out=rows)
@@ -155,8 +154,7 @@ def _keypoint_arrays(heatmaps, embeddings, offsets, k, ratio, suppress=True):
     A selected keypoint's non-finite offset or embedding raises PayloadError."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    with np.errstate(over="ignore"):  # a value beyond the float32 range becomes inf
-        stack, offsets, embeddings = (np.asarray(a, dtype=np.float32) for a in (heatmaps, offsets, embeddings))
+    stack, offsets, embeddings = (_float32(a) for a in (heatmaps, offsets, embeddings))
     if stack.ndim == 2:
         stack = stack[None]
     _, h, w = stack.shape

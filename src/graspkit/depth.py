@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bundle import read_gktb, write_gktb
+from .bundle import DimensionError, HeaderError, _float32, read_gktb, write_gktb
 from .geometry import _finite_number, _rect_frame
 
 
@@ -41,9 +41,8 @@ class DepthImage:
     surface: np.ndarray
 
     def __post_init__(self):
-        with np.errstate(over="ignore"):  # an overflow to inf fails the finite check below
-            self.depth = np.asarray(self.depth, dtype=np.float32)
-            self.surface = np.asarray(self.surface, dtype=np.float32)
+        # an overflow to inf fails the finite check below
+        self.depth, self.surface = _float32(self.depth), _float32(self.surface)
         if self.depth.shape != self.surface.shape:
             raise ValueError(
                 f"depth {self.depth.shape} and surface {self.surface.shape} shapes differ"
@@ -57,8 +56,7 @@ class DepthImage:
 
     @classmethod
     def flat_surface(cls, depth, surface_mm):
-        with np.errstate(over="ignore"):
-            return cls(depth, np.full(np.shape(depth), float(surface_mm), dtype=np.float32))
+        return cls(depth, np.full(np.shape(depth), _float32(float(surface_mm))))
 
     @property
     def shape(self):
@@ -244,13 +242,21 @@ def write_depth_gktb(depth_image, dest, include_surface=True):
 def read_depth_gktb(src, surface_mm=None):
     """Load a depth image from a GKTB file.
 
-    Requires a "depth" plane.  The surface comes from a "surface" plane if
-    present, else from ``surface_mm``, else from the deepest depth pixel.
+    Requires a "depth" plane and allows a "surface" plane, each of count 1;
+    any other plane raises HeaderError, another count DimensionError.  The
+    surface comes from a "surface" plane if present, else from
+    ``surface_mm``, else from the deepest depth pixel.
     """
     _, planes = read_gktb(src)
     by_name = dict(planes)
     if "depth" not in by_name:
         raise ValueError(f"no 'depth' plane in file (found {sorted(by_name)})")
+    extra = [n for n in by_name if n not in ("depth", "surface")]
+    if extra:
+        raise HeaderError(f"depth file holds unexpected plane(s) {extra}")
+    for name, arr in by_name.items():
+        if arr.shape[0] != 1:
+            raise DimensionError(f"plane {name}: expected 1 plane(s), header declares {arr.shape[0]}")
     depth = by_name["depth"][0]
     if "surface" in by_name:
         return DepthImage(depth, by_name["surface"][0])
@@ -262,12 +268,10 @@ def select_dynamic(previous, candidates, tau_close=30.0):
     """Track a moving target: pick the candidate closest to the previous
     grasp center if that distance is below tau_close, else keep the
     previous grasp (the object is presumed occluded)."""
-    best = None
-    best_d = math.inf
-    for cand in candidates:
-        d = math.hypot(cand.x - previous.x, cand.y - previous.y)
-        if d < best_d:
-            best, best_d = cand, d
-    if best is not None and best_d < tau_close:
+    def distance(cand):
+        return math.hypot(cand.x - previous.x, cand.y - previous.y)
+
+    best = min(candidates, key=distance, default=None)
+    if best is not None and distance(best) < tau_close:
         return best
     return previous

@@ -131,10 +131,7 @@ def _center_form(lx, ly, rx, ry):
     """:func:`pair_to_grasp` on the points (lx, ly) and (rx, ry), given in
     canonical order, without building a :class:`KeypointPair`."""
     dx, dy = rx - lx, ry - ly
-    w = math.hypot(dx, dy)
-    if w == 0.0:
-        raise DegenerateGraspError(f"coincident keypoints {(lx, ly)}")
-    return Grasp((lx + rx) / 2, (ly + ry) / 2, wrap_angle(math.atan2(dy, dx)), w)
+    return Grasp((lx + rx) / 2, (ly + ry) / 2, wrap_angle(math.atan2(dy, dx)), math.hypot(dx, dy))
 
 
 def grasp_to_pair(g):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bundle import _float32
 from .decoder import TOP_K, DetectedKeypoint, _decode, _detected
 from .decoder import decode_bundle  # noqa: F401  (bench/spans.py traces it under this module)
 from .geometry import _center_form, angle_diff, class_to_angle, wrap_angle
@@ -65,8 +66,7 @@ def _kp_arrays(kps):
 def _center_scores(left, right, li, ri, center_map, ratio):
     """Center-heatmap confidence of the index pairs ``(li, ri)``, read at the
     heatmap pixel nearest the pair midpoint, clamped to map bounds."""
-    with np.errstate(over="ignore"):  # a value beyond the float32 range becomes inf
-        center = np.asarray(center_map, dtype=np.float32)
+    center = _float32(center_map)
     h, w = center.shape
     cx = (left[0][li] + right[0][ri]) / 2.0
     cy = (left[1][li] + right[1][ri]) / 2.0

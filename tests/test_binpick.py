@@ -7,8 +7,10 @@ import pytest
 
 from graspkit import (
     CORNELL,
+    Block,
     Grasp,
     GripperModel2D,
+    SyntheticScene,
     make_scene,
     oracle_detector,
     pipeline_detector,
@@ -106,3 +108,23 @@ def test_larger_object_counts_supported():
 def test_make_scene_validates_count():
     with pytest.raises(ValueError):
         make_scene(0, 0)
+
+
+def _scene(*blocks):
+    return SyntheticScene(0, 100, 100, 1000.0, list(blocks))
+
+
+def test_nearest_block_takes_the_first_of_equidistant_blocks():
+    a, b = Block(0, 10, 40, 10, 10, 30.0), Block(1, 70, 40, 10, 10, 30.0)  # centers (15, 45), (75, 45)
+    assert _scene(a, b).nearest_block(45.0, 45.0) is a
+    assert _scene(b, a).nearest_block(45.0, 45.0) is b
+    assert _scene(a, b).nearest_block(46.0, 45.0) is b
+    assert _scene().nearest_block(45.0, 45.0) is None
+
+
+def test_block_at_takes_the_first_of_overlapping_blocks():
+    a, b = Block(0, 10, 10, 30, 30, 30.0), Block(1, 20, 20, 30, 30, 50.0)
+    assert _scene(a, b).block_at(25, 25) is a
+    assert _scene(b, a).block_at(25, 25) is b
+    assert _scene(a, b).block_at(45, 45) is b
+    assert _scene(a, b).block_at(5, 5) is None

@@ -1,8 +1,10 @@
 """End-to-end CLI behavior: subcommands, JSON output, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -13,13 +15,17 @@ import pytest
 from hypothesis import given, settings
 
 from graspkit import (
+    CORNELL,
     DepthImage,
+    EncoderConfig,
     Grasp,
+    ideal_bundle,
     write_annotations,
+    write_bundle,
     write_depth_gktb,
     write_gktb,
 )
-from graspkit.cli import main
+from graspkit.cli import build_parser, main
 from helpers import annotation_texts
 
 
@@ -575,3 +581,158 @@ def test_removed_flags_keep_their_reported_values(tmp_path, annotations):
     assert json.loads(proc.stderr.splitlines()[-1])["k"] == 100
     report = json.loads(run_in_process("gradcheck", "--points", "1").stdout)
     assert report["step"] == 1e-05
+
+
+@pytest.mark.parametrize("planes", [(("mask", 2),), (("mask", 1), ("other", 1))],
+                         ids=["one-plane-of-count-2", "two-planes"])
+def test_filter_jacquard_mask_must_be_one_plane_of_count_one(tmp_path, planes):
+    ann_dir, mask_dir = _jacquard_dirs(tmp_path, 1.0)
+    mask = np.zeros((1, 60, 60), np.float32)
+    mask[0, 20:40, 20:40] = 1.0
+    write_gktb(mask_dir / "img.gktb", [(name, np.repeat(mask, count, axis=0)) for name, count in planes],
+               num_classes=0, downsample_ratio=1)
+    out = tmp_path / "r.json"
+    proc = run_in_process("filter-jacquard", "--annotations", str(ann_dir), "--masks", str(mask_dir),
+                          "--out", str(out))
+    assert_data_error(proc)
+    assert "must hold one plane of count 1" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("planes", [(("depth", 2),), (("depth", 1), ("surface", 2)), (("depth", 1), ("mask", 1))],
+                         ids=["depth-count-2", "surface-count-2", "extra-plane"])
+def test_score_depth_file_must_hold_depth_and_surface_of_count_one(tmp_path, planes):
+    grasps_path, depth_path = _score_inputs(tmp_path)
+    write_gktb(depth_path, [(name, np.full((count, 60, 60), 1000.0)) for name, count in planes],
+               num_classes=0, downsample_ratio=1)
+    proc = run_in_process("score", "--grasps", str(grasps_path), "--depth", str(depth_path))
+    assert_data_error(proc)
+    assert "plane" in proc.stderr
+
+
+# The exit-code contract in one table.  Each case starts from a valid argv
+# per subcommand ({in} and {out} are the case's input and output
+# directories) and changes one thing: an option's value, or one file it
+# names.  Every case must exit 0, 1 or 2 without a traceback; an error
+# prints one "usage error:" (exit 1) or "error:" (exit 2) line and nothing
+# on stdout, and a success prints only JSON lines.
+_VALID_ARGV = {
+    "encode": {"--annotations": "{in}/truth.jsonl", "--profile": "cornell", "--image-size": "64x64",
+               "--out": "{out}/b.gktb", "--seed": "0"},
+    "decode": {"--bundle": "{in}/b.gktb", "--profile": "cornell", "--k": "10"},
+    "group": {"--bundle": "{in}/b.gktb", "--profile": "cornell", "--top": "5", "--rho-embed": "0.5",
+              "--rho-cen": "0.1", "--tau-orient": "0.3", "--image-id": "img"},
+    "evaluate": {"--pred": "{in}/pred.jsonl", "--truth": "{in}/truth.jsonl", "--profile": "cornell",
+                 "--policy": "topn"},
+    "score": {"--grasps": "{in}/truth.jsonl", "--depth": "{in}/d.gktb", "--gripper": "{in}/gripper.json",
+              "--surface-depth": "1000"},
+    "simulate-binpick": {"--seed": "0", "--objects": "1", "--trials": "1", "--detector": "oracle",
+                         "--profile": "cornell"},
+    "filter-jacquard": {"--annotations": "{in}/ann", "--masks": "{in}/masks", "--out": "{out}/r.json"},
+    "gradcheck": {"--seed": "0", "--points": "1", "--tolerance": "1e-4"},
+    "selftest": {"--seed": "0"},
+}
+_HOSTILE_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e-320", "1e308", str(2**70)]
+# each unit of these is work, so they get only the values that fail at once
+_WORK_COUNTS = {"--points", "--objects", "--trials"}
+_SIZES = ["1x1", "512x512", "0x0", "0x64", "-1x64", "64", "64x64x64", "axb", "nanx64", "1e3x64",
+          "64.5x64", "x", ""]
+# (subcommand, a file it reads or writes, what is done to that file)
+_DAMAGED_FILES = [
+    *((cmd, path, how)
+      for cmd, path in [("encode", "{in}/truth.jsonl"), ("decode", "{in}/b.gktb"), ("group", "{in}/b.gktb"),
+                        ("evaluate", "{in}/pred.jsonl"), ("evaluate", "{in}/truth.jsonl"),
+                        ("score", "{in}/truth.jsonl"), ("score", "{in}/d.gktb"),
+                        ("score", "{in}/gripper.json"), ("filter-jacquard", "{in}/ann/img.jsonl"),
+                        ("filter-jacquard", "{in}/masks/img.gktb")]
+      for how in ["truncated", "empty", "non-utf8", "directory"]),
+    ("encode", "{out}/b.gktb", "directory"),
+    ("filter-jacquard", "{out}/r.json", "directory"),
+    ("filter-jacquard", "{in}/ann", "file"),
+    ("filter-jacquard", "{in}/masks", "file"),
+]
+_OPTION_CASES = [
+    *((cmd, opt, value) for cmd, argv in _VALID_ARGV.items() for opt in argv for value in _HOSTILE_NUMBERS
+      if not (opt in _WORK_COUNTS and value == str(2**70))),
+    *(("encode", "--image-size", size) for size in _SIZES),
+]
+
+
+@pytest.fixture
+def contract_dirs(tmp_path, monkeypatch):
+    """Valid inputs for every subcommand in ``in``; ``out`` is the working directory."""
+    src, out = tmp_path / "in", tmp_path / "out"
+    (src / "ann").mkdir(parents=True)
+    (src / "masks").mkdir()
+    out.mkdir()
+    grasps = [Grasp(20.0, 20.0, 0.3, 12.0, 8.0), Grasp(44.0, 40.0, -1.2, 10.0, 8.0)]
+    for name in ("truth.jsonl", "pred.jsonl", "ann/img.jsonl"):
+        write_annotations(grasps, src / name)
+    write_bundle(ideal_bundle(grasps, EncoderConfig(64, 64, CORNELL.num_classes)), src / "b.gktb")
+    flat = np.full((60, 60), 1000.0, np.float32)
+    write_depth_gktb(DepthImage.flat_surface(flat, 1000.0), src / "d.gktb", include_surface=False)
+    (src / "gripper.json").write_text('{"finger_thickness_mm": 5}\n')
+    mask = np.zeros((1, 64, 64), np.float32)
+    mask[0, 10:50, 10:50] = 1.0
+    write_gktb(src / "masks/img.gktb", [("mask", mask)], num_classes=0, downsample_ratio=1)
+    monkeypatch.chdir(out)
+    return {"in": str(src), "out": str(out)}
+
+
+def _run_contract_case(cmd, dirs, **changed):
+    argv = {opt: value.format(**dirs) for opt, value in _VALID_ARGV[cmd].items()}
+    argv.update(changed)
+    proc = run_in_process(cmd, *(word for pair in argv.items() for word in pair))
+    assert proc.returncode in (0, 1, 2), proc
+    assert "Traceback" not in proc.stderr
+    if proc.returncode:
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.strip()], proc.stderr
+        assert proc.stderr.startswith("usage error:" if proc.returncode == 1 else "error:"), proc.stderr
+    else:
+        for line in proc.stdout.splitlines():
+            json.loads(line)
+    return proc
+
+
+def _damage(path, how):
+    data = path.read_bytes() if path.is_file() else b""
+    if path.is_dir():
+        shutil.rmtree(path)
+    elif path.exists():
+        path.unlink()
+    if how == "directory":
+        path.mkdir()
+    elif how == "truncated":
+        path.write_bytes(data[: len(data) // 2])
+    elif how == "non-utf8":  # bytes 9 and 10 are in a GKTB header or a JSON text
+        path.write_bytes(data[:9] + b"\xff\xfe" + data[11:])
+    else:  # "empty", or "file" where a directory belongs
+        path.write_bytes(b"")
+
+
+def test_contract_table_covers_every_option_of_every_subcommand():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        cmd: {opt for action in parser._actions for opt in action.option_strings if opt != "-h" and opt != "--help"}
+        for cmd, parser in commands.choices.items()
+    }
+    assert options == {cmd: set(argv) for cmd, argv in _VALID_ARGV.items()}
+
+
+@pytest.mark.parametrize("cmd", list(_VALID_ARGV))
+def test_contract_valid_argv_succeeds(contract_dirs, cmd):
+    assert _run_contract_case(cmd, contract_dirs).returncode == 0
+
+
+@pytest.mark.parametrize("cmd, option, value", _OPTION_CASES,
+                         ids=[f"{cmd} {opt}={value}" for cmd, opt, value in _OPTION_CASES])
+def test_contract_hostile_option_values(contract_dirs, cmd, option, value):
+    _run_contract_case(cmd, contract_dirs, **{option: value})
+
+
+@pytest.mark.parametrize("cmd, path, how", _DAMAGED_FILES,
+                         ids=[f"{cmd} {path}={how}" for cmd, path, how in _DAMAGED_FILES])
+def test_contract_damaged_files(contract_dirs, cmd, path, how):
+    _damage(Path(path.format(**contract_dirs)), how)
+    _run_contract_case(cmd, contract_dirs)

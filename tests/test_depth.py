@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from graspkit import (
     DegenerateRegionError,
     DepthImage,
+    DimensionError,
     Grasp,
     GraspScore,
     GripperCapacityError,
     GripperModel2D,
+    HeaderError,
     collision_score,
     gripper_regions,
     height_score,
@@ -24,6 +26,7 @@ from graspkit import (
     score_grasps,
     select_dynamic,
     write_depth_gktb,
+    write_gktb,
 )
 from graspkit.binpick import make_scene
 from helpers import gripper_regions_reference, score_grasps_reference
@@ -378,3 +381,33 @@ def test_grasp_score_record_lists_its_fields_in_order():
         ("collision", None), ("occupancy", None), ("height", None), ("total", -1.0)
     ]
     assert all(type(v) is float for v in GraspScore.compute(np.float32(1), 0, 1).to_dict().values())
+
+
+def test_select_dynamic_takes_the_first_of_equidistant_candidates():
+    prev = Grasp(100, 100, 0.0, 30)
+    a, b, c = Grasp(103, 104, 0.0, 30), Grasp(95, 100, 0.0, 30), Grasp(100, 95, 0.0, 30)  # all 5 px away
+    assert select_dynamic(prev, [a, b, c], tau_close=6) is a
+    assert select_dynamic(prev, [c, b, a], tau_close=6) is c
+    assert select_dynamic(prev, [Grasp(107, 100, 0.0, 30), b, a], tau_close=6) is b
+
+
+def test_select_dynamic_keeps_previous_at_exactly_tau_close():
+    prev = Grasp(100, 100, 0.0, 30)
+    cand = Grasp(103, 104, 0.0, 30)  # exactly 5 px away
+    assert select_dynamic(prev, [cand], tau_close=5) is prev
+    assert select_dynamic(prev, [cand], tau_close=math.nextafter(5.0, math.inf)) is cand
+
+
+@pytest.mark.parametrize("planes, error, match", [
+    ((("depth", 2),), DimensionError, r"plane depth: expected 1 plane\(s\), header declares 2"),
+    ((("depth", 1), ("surface", 2)), DimensionError, r"plane surface: expected 1 plane\(s\), header declares 2"),
+    ((("depth", 1), ("mask", 1)), HeaderError, r"unexpected plane\(s\) \['mask'\]"),
+    ((("depth", 1), ("surface", 1), ("depth2", 1)), HeaderError, r"\['depth2'\]"),
+], ids=["depth-count-2", "surface-count-2", "extra-plane", "third-plane"])
+def test_depth_file_holds_depth_and_surface_of_count_one(planes, error, match):
+    buf = io.BytesIO()
+    write_gktb(buf, [(name, np.full((count, 4, 4), 1000.0)) for name, count in planes],
+               num_classes=0, downsample_ratio=1)
+    buf.seek(0)
+    with pytest.raises(error, match=match):
+        read_depth_gktb(buf)
