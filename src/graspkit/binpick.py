@@ -164,8 +164,12 @@ class BinPickLog:
     seed: int
     n_objects: int
     attempts: list = field(default_factory=list)
-    successes: int = 0
-    cleared: int = 0
+
+    @property
+    def successes(self):
+        return sum(a["success"] for a in self.attempts)
+
+    cleared = successes  # each success removes exactly one block
 
     @property
     def success_rate(self):
@@ -176,7 +180,8 @@ class BinPickLog:
         return 100.0 * self.cleared / self.n_objects if self.n_objects else 0.0
 
     def to_dict(self):
-        return {**vars(self), "success_rate": self.success_rate, "percent_cleared": self.percent_cleared}
+        return {**vars(self), "successes": self.successes, "cleared": self.cleared,
+                "success_rate": self.success_rate, "percent_cleared": self.percent_cleared}
 
 
 def run_bin_picking(scene, detector, model):
@@ -187,9 +192,8 @@ def run_bin_picking(scene, detector, model):
     the same nearest object fails five times in a row.  Returns a BinPickLog.
     """
     log = BinPickLog(seed=scene.seed, n_objects=len(scene.blocks))
-    consecutive = 0
-    last_failure_key = None
-    while scene.blocks:
+    failures = (None, 0)  # (nearest block id, length) of the current failure run
+    while scene.blocks and failures[1] < 5:
         depth_image = scene.render()
         grasps = list(detector(depth_image))[: GroupingThresholds.max_output]
         attempt = {"attempt": len(log.attempts) + 1}
@@ -211,15 +215,9 @@ def run_bin_picking(scene, detector, model):
         log.attempts.append(attempt)
         if success:
             scene.remove(block.block_id)
-            log.successes += 1
-            log.cleared += 1
-            consecutive = 0
-            last_failure_key = None
+            failures = (None, 0)
         else:
             near = scene.nearest_block(best.x, best.y) if best is not None else None
             key = near.block_id if near is not None else None
-            consecutive = consecutive + 1 if key == last_failure_key else 1
-            last_failure_key = key
-            if consecutive >= 5:
-                break
+            failures = (key, failures[1] + 1 if key == failures[0] else 1)
     return log

@@ -321,20 +321,29 @@ def write_bundle(bundle, dest):
     )
 
 
-def read_bundle(src):
-    """Read and validate a HeatmapBundle from a GKTB stream."""
+def _read_planes(src, counts, required):
+    """``read_gktb`` as (header, {name: array}), holding every ``required`` plane
+    and only the planes of ``counts``, each at its count (None: num_classes)."""
     header, planes = read_gktb(src)
     by_name = dict(planes)
-    missing = [n for n in _PLANE_COUNTS if n not in by_name]
-    extra = [n for n in by_name if n not in _PLANE_COUNTS]
-    if missing or extra:
-        raise HeaderError(f"bundle plane set mismatch: missing={missing}, unexpected={extra}")
-    num_classes = int(header["num_classes"])
-    for name, count in _PLANE_COUNTS.items():
-        want, got = count or num_classes, by_name[name].shape[0]
+    for name in required:
+        if name not in by_name:
+            raise HeaderError(f"no {name!r} plane in file (found {sorted(by_name)})")
+    extra = [n for n in by_name if n not in counts]
+    if extra:
+        raise HeaderError(f"unexpected plane(s) {extra}")
+    for name, arr in by_name.items():
+        want, got = counts[name] or header["num_classes"], arr.shape[0]
         if got != want:
             raise DimensionError(f"plane {name}: expected {want} plane(s), header declares {got}")
-        by_name[name] = by_name[name].reshape(_plane_shape(name, num_classes, *by_name[name].shape[1:]))
-    bundle = HeatmapBundle(**by_name, num_classes=num_classes,
-                           downsample_ratio=int(header["downsample_ratio"]))
+    return header, by_name
+
+
+def read_bundle(src):
+    """Read and validate a HeatmapBundle from a GKTB stream."""
+    header, by_name = _read_planes(src, _PLANE_COUNTS, _PLANE_COUNTS)
+    for name, arr in by_name.items():
+        by_name[name] = arr.reshape(_plane_shape(name, header["num_classes"], *arr.shape[1:]))
+    bundle = HeatmapBundle(**by_name, num_classes=header["num_classes"],
+                           downsample_ratio=header["downsample_ratio"])
     return bundle.validate()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _rect_frame, rect_from_grasp
+from .geometry import _finite_number, _rect_frame, rect_from_grasp
 
 
 class DegenerateMaskError(ValueError):
@@ -75,8 +75,10 @@ class ChannelStats:
     def __post_init__(self):
         if len(self.means) != 3 or len(self.stds) != 3:
             raise ValueError("need exactly three channel means and stds")
-        if any(s <= 0 for s in self.stds):
-            raise ValueError("stds must be positive")
+        if not all(_finite_number(m) for m in self.means):
+            raise ValueError(f"means must be finite numbers, got {self.means}")
+        if not all(_finite_number(s) and s > 0 for s in self.stds):
+            raise ValueError(f"stds must be finite and positive, got {self.stds}")
 
 
 CORNELL_STATS = ChannelStats(means=(0.85, 0.81, 0.25), stds=(0.10, 0.11, 0.09), profile="cornell")

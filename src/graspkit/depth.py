@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bundle import DimensionError, HeaderError, _float32, read_gktb, write_gktb
+from .bundle import _float32, _read_planes, write_gktb
 from .geometry import _finite_number, _rect_frame
 
 
@@ -242,21 +242,11 @@ def write_depth_gktb(depth_image, dest, include_surface=True):
 def read_depth_gktb(src, surface_mm=None):
     """Load a depth image from a GKTB file.
 
-    Requires a "depth" plane and allows a "surface" plane, each of count 1;
-    any other plane raises HeaderError, another count DimensionError.  The
-    surface comes from a "surface" plane if present, else from
-    ``surface_mm``, else from the deepest depth pixel.
+    Reads a "depth" plane and an optional "surface" plane, each of count 1
+    (else HeaderError or DimensionError).  The surface comes from its plane
+    if present, else from ``surface_mm``, else from the deepest depth pixel.
     """
-    _, planes = read_gktb(src)
-    by_name = dict(planes)
-    if "depth" not in by_name:
-        raise ValueError(f"no 'depth' plane in file (found {sorted(by_name)})")
-    extra = [n for n in by_name if n not in ("depth", "surface")]
-    if extra:
-        raise HeaderError(f"depth file holds unexpected plane(s) {extra}")
-    for name, arr in by_name.items():
-        if arr.shape[0] != 1:
-            raise DimensionError(f"plane {name}: expected 1 plane(s), header declares {arr.shape[0]}")
+    _, by_name = _read_planes(src, {"depth": 1, "surface": 1}, ("depth",))
     depth = by_name["depth"][0]
     if "surface" in by_name:
         return DepthImage(depth, by_name["surface"][0])

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import _rotated_ious, angle_diff, rect_from_grasp
+from .geometry import _finite_number, _rotated_ious, angle_diff, rect_from_grasp
 from .geometry import rotated_iou  # noqa: F401  (bench/spans.py traces it under this module)
 
 
@@ -39,6 +39,8 @@ class MatchCriteria:
             raise ValueError(f"min_jaccard must lie in (0, 1), got {self.min_jaccard}")
         if not 0 < self.max_angle_diff <= math.pi / 2:
             raise ValueError(f"max_angle_diff must lie in (0, pi/2], got {self.max_angle_diff}")
+        if not (_finite_number(self.eval_height) and self.eval_height > 0):
+            raise ValueError(f"eval_height must be a finite positive number, got {self.eval_height!r}")
 
 
 @dataclass

@@ -108,14 +108,17 @@ class Grasp:
     h: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.theta)):
-            raise ValueError(f"non-finite grasp fields ({self.x}, {self.y}, {self.theta})")
-        if not (-HALF_PI < self.theta <= HALF_PI):
-            raise ValueError(f"theta {self.theta} outside (-pi/2, pi/2]; wrap it first")
-        if not (self.w > 0 and math.isfinite(self.w)):
-            raise ValueError(f"grasp width must be finite and positive, got {self.w}")
-        if self.h is not None and not (self.h > 0 and math.isfinite(self.h)):
-            raise ValueError(f"grasp height must be finite and positive, got {self.h}")
+        try:
+            if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.theta)):
+                raise ValueError(f"non-finite grasp fields ({self.x}, {self.y}, {self.theta})")
+            if not (-HALF_PI < self.theta <= HALF_PI):
+                raise ValueError(f"theta {self.theta} outside (-pi/2, pi/2]; wrap it first")
+            if not (self.w > 0 and math.isfinite(self.w)):
+                raise ValueError(f"grasp width must be finite and positive, got {self.w}")
+            if self.h is not None and not (self.h > 0 and math.isfinite(self.h)):
+                raise ValueError(f"grasp height must be finite and positive, got {self.h}")
+        except OverflowError:  # math.isfinite on an integer beyond the float range
+            raise ValueError("grasp fields must be finite; an integer exceeds the float range") from None
 
 
 def pair_to_grasp(pair):

@@ -1,12 +1,14 @@
 """Seeded bin-picking simulation: protocol, determinism, pipeline detector."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from graspkit import (
     CORNELL,
+    BinPickLog,
     Block,
     Grasp,
     GripperModel2D,
@@ -128,3 +130,51 @@ def test_block_at_takes_the_first_of_overlapping_blocks():
     assert _scene(b, a).block_at(25, 25) is b
     assert _scene(a, b).block_at(45, 45) is b
     assert _scene(a, b).block_at(5, 5) is None
+
+
+def test_a_change_of_nearest_block_restarts_the_failure_run():
+    scene = make_scene(42, 5)
+    near_block_0, near_block_4 = Grasp(5.0, 5.0, 0.0, 30.0), Grasp(180.0, 350.0, 0.0, 30.0)
+    calls = []
+
+    def alternating(depth):
+        calls.append(None)
+        return [near_block_4 if len(calls) <= 4 and len(calls) % 2 == 0 else near_block_0]
+
+    assert scene.nearest_block(5.0, 5.0).block_id == 0
+    assert scene.nearest_block(180.0, 350.0).block_id == 4
+    log = run_bin_picking(scene, alternating, MODEL)
+    assert len(log.attempts) == 9
+    assert not any(a["success"] for a in log.attempts)
+
+
+def test_no_grasp_stops_after_five_attempts():
+    scene = make_scene(42, 5)
+    log = run_bin_picking(scene, lambda depth: [], MODEL)
+    assert len(log.attempts) == 5
+    assert all(a == {"attempt": n, "success": False, "block": None}
+               for n, a in enumerate(log.attempts, 1))
+
+
+def test_log_counts_come_from_its_attempts():
+    scene = make_scene(42, 5)
+    oracle = oracle_detector(scene)
+    calls = []
+
+    def miss_once(depth):
+        calls.append(None)
+        return [Grasp(5.0, 5.0, 0.0, 30.0)] if len(calls) == 1 else oracle(depth)
+
+    log = run_bin_picking(scene, miss_once, MODEL)
+    d = log.to_dict()
+    assert list(d) == ["seed", "n_objects", "attempts", "successes", "cleared",
+                       "success_rate", "percent_cleared"]
+    assert len(log.attempts) == 6
+    assert d["successes"] == d["cleared"] == sum(a["success"] for a in log.attempts) == 5
+    assert (d["success_rate"], d["percent_cleared"]) == (100.0 * 5 / 6, 100.0)
+
+
+def test_log_holds_no_count_besides_its_attempts():
+    assert [f.name for f in fields(BinPickLog)] == ["seed", "n_objects", "attempts"]
+    log = BinPickLog(seed=0, n_objects=2, attempts=[{"success": True}, {"success": False}])
+    assert (log.successes, log.cleared) == (1, 1)

@@ -487,3 +487,13 @@ def test_validate_and_write_reject_a_3d_center_with_dimension_error():
         bundle.validate()
     with pytest.raises(DimensionError, match="plane center"):
         write_bundle(bundle, io.BytesIO())
+
+
+def test_bundle_with_an_extra_plane_names_it():
+    b = random_bundle(np.random.default_rng(18))
+    buf = io.BytesIO()
+    write_gktb(buf, [*b.planes(), ("mask", b.center[None])],
+               num_classes=b.num_classes, downsample_ratio=b.downsample_ratio)
+    buf.seek(0)
+    with pytest.raises(HeaderError, match=r"\['mask'\]"):
+        read_bundle(buf)

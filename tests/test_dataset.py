@@ -187,3 +187,12 @@ def test_channel_stats_validation():
         ChannelStats(means=(0, 0), stds=(1, 1, 1), profile="x")
     with pytest.raises(ValueError):
         ChannelStats(means=(0, 0, 0), stds=(1, 0, 1), profile="x")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["means", "stds"])
+def test_channel_stats_rejects_non_finite_statistics(field, bad):
+    values = {"means": (0.5, 0.5, 0.5), "stds": (1.0, 1.0, 1.0)}
+    values[field] = (bad, 1.0, 1.0)
+    with pytest.raises(ValueError, match=field):
+        ChannelStats(**values, profile="x")

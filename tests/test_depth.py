@@ -411,3 +411,11 @@ def test_depth_file_holds_depth_and_surface_of_count_one(planes, error, match):
     buf.seek(0)
     with pytest.raises(error, match=match):
         read_depth_gktb(buf)
+
+
+def test_depth_file_without_a_depth_plane_raises_header_error():
+    buf = io.BytesIO()
+    write_gktb(buf, [("surface", np.full((1, 4, 4), 1000.0))], num_classes=0, downsample_ratio=1)
+    buf.seek(0)
+    with pytest.raises(HeaderError, match=r"no 'depth' plane in file \(found \['surface'\]\)"):
+        read_depth_gktb(buf)

@@ -340,3 +340,9 @@ def test_eval_report_json_keeps_its_key_order():
     assert (out["total"], out["correct"], out["accuracy"], out["fps"]) == (2, 1, 0.5, None)
     assert out["per_image"] == [r.to_dict() for r in report.per_image]
     assert [r["image_id"] for r in out["per_image"]] == ["a", "b"]
+
+
+@pytest.mark.parametrize("height", [0.0, -1.0, math.nan, math.inf])
+def test_criteria_rejects_an_eval_height_that_is_not_finite_and_positive(height):
+    with pytest.raises(ValueError, match="eval_height"):
+        MatchCriteria(eval_height=height)

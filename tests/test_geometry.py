@@ -286,6 +286,14 @@ def test_grasp_rejects_infinite_size():
         Grasp(1.0, 2.0, 0.3, 10.0, h=math.inf)
 
 
+@pytest.mark.parametrize("field", ["x", "y", "theta", "w", "h"])
+def test_grasp_rejects_an_integer_beyond_the_float_range(field):
+    values = {"x": 1.0, "y": 2.0, "theta": 0.3, "w": 10.0, "h": 5.0}
+    values[field] = 10**400
+    with pytest.raises(ValueError, match="float range"):
+        Grasp(**values)
+
+
 GOOD_RECORD = '{"x": 1.0, "y": 2.0, "theta_deg": 10.0, "w": 8.0, "h": null}'
 
 
