@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _integer
+
 MAGIC = b"GKTB"
 VERSION = 1
 
@@ -80,13 +82,6 @@ def _float32(value):
         return np.asarray(value, dtype=np.float32)
 
 
-def _plane32(value, name):
-    arr = _float32(value)  # an overflow to inf fails validate()
-    if arr.ndim not in (2, 3):
-        raise DimensionError(f"plane {name}: expected 2-D or 3-D array, got ndim={arr.ndim}")
-    return arr
-
-
 @dataclass
 class HeatmapBundle:
     """Stacked detector outputs for one image.
@@ -109,9 +104,15 @@ class HeatmapBundle:
 
     def __post_init__(self):
         for name in _PLANE_COUNTS:
-            setattr(self, name, _plane32(getattr(self, name), name))
-        self.num_classes = int(self.num_classes)
-        self.downsample_ratio = int(self.downsample_ratio)
+            arr = _float32(getattr(self, name))  # an overflow to inf fails validate()
+            if arr.ndim not in (2, 3):
+                raise DimensionError(f"plane {name}: expected 2-D or 3-D array, got ndim={arr.ndim}")
+            setattr(self, name, arr)
+        for field in ("num_classes", "downsample_ratio"):
+            value = getattr(self, field)
+            if not _integer(value):
+                raise DimensionError(f"{field} must be an integer, got {value!r}")
+            setattr(self, field, int(value))
 
     @property
     def height(self):
@@ -135,7 +136,6 @@ class HeatmapBundle:
         if self.downsample_ratio < 1:
             raise DimensionError(f"downsample_ratio must be >= 1, got {self.downsample_ratio}")
         h, w = self.center.shape[-2:]
-        # one min/max pair per plane: NaN and infinities carry through both
         bounds = {}
         for name in _PLANE_COUNTS:
             arr, expected = getattr(self, name), _plane_shape(name, self.num_classes, h, w)
@@ -143,9 +143,7 @@ class HeatmapBundle:
                 raise DimensionError(
                     f"plane {name}: shape {arr.shape} does not match expected {expected}"
                 )
-            bounds[name] = lo, hi = float(arr.min(initial=0.0)), float(arr.max(initial=0.0))
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise PayloadError(f"plane {name}: non-finite value in payload")
+            bounds[name] = _bounds(name, arr)
         for name in ("left", "right", "center"):
             lo, hi = bounds[name]
             if lo < 0.0 or hi > 1.0:
@@ -192,7 +190,7 @@ def write_gktb(dest, planes, *, num_classes, downsample_ratio):
     for name, arr in named:
         if arr.shape[1:] != (height, width):
             raise DimensionError(f"plane {name}: grid {arr.shape[1:]} differs from {(height, width)}")
-        _require_finite(name, arr)
+        _bounds(name, arr)
     blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
     with nullcontext(dest) if hasattr(dest, "write") else open(dest, "wb") as fh:
         written = fh.write(MAGIC + struct.pack("<BI", VERSION, len(blob)) + blob)
@@ -204,15 +202,18 @@ def write_gktb(dest, planes, *, num_classes, downsample_ratio):
 
 def _require_int(value, field):
     """A header number must be a JSON integer (booleans and floats are not)."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _integer(value):
         raise HeaderError(f"header field {field!r} must be an integer, got {value!r}")
     return value
 
 
-def _require_finite(name, arr):
-    if not np.isfinite(arr).all():
+def _bounds(name, arr):
+    """(min, max) of a plane, taking 0.0 into both; raises PayloadError
+    unless both are finite, which NaN and infinities carry through."""
+    lo, hi = float(arr.min(initial=0.0)), float(arr.max(initial=0.0))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise PayloadError(f"plane {name}: non-finite value in payload")
-    return arr
+    return lo, hi
 
 
 def _layout(header):
@@ -304,7 +305,8 @@ def read_gktb(src):
                     f"plane {name}: truncated payload, expected {nbytes} bytes, got {len(payload)}"
                 )
             arr = payload.view("<f4").reshape(count, height, width)
-            planes.append((name, _require_finite(name, arr)))
+            _bounds(name, arr)
+            planes.append((name, arr))
         if fh.read(1):
             raise DimensionError("trailing data after declared payload")
         return header, planes

@@ -17,14 +17,13 @@ end-to-end decoder/grouper tests.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .bundle import _PLANE_COUNTS, HeatmapBundle, _plane_shape
 from .decoder import TOP_K
-from .geometry import angle_to_class, grasp_to_pair
+from .geometry import _integer, angle_to_class, grasp_to_pair
 from .losses import ground_truth_offset
 
 # largest float32 strictly below 1.0; keeps stored offsets inside [0, 1)
@@ -56,7 +55,7 @@ class EncoderConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if not _integer(value) or value < 1:
                 raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
 
     @property

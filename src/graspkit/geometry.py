@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,6 +354,11 @@ def rotated_iou(a, b):
     return _rotated_ious([a, b], [(0, 1)])[0]
 
 
+def _integer(value):
+    """True for an integer, numpy's included, that is not a ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _finite_number(value):
     """True for a real number, not a ``bool``, with a finite float value."""
     try:
@@ -363,23 +369,23 @@ def _finite_number(value):
 
 def _read_records(source):
     """Yield ``(record, Grasp)`` for each line of a JSON-lines annotation
-    file (path or text file).
+    file (path, text file or binary file).
 
     Blank lines are skipped.  A line that is not UTF-8, not JSON or not a
     valid record (see :func:`grasp_from_record`) raises ``ValueError``
     naming the line.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
+    with nullcontext(source) if hasattr(source, "read") else open(source, "rb") as fh:
+        data = fh.read()
+    if isinstance(data, str):  # a text stream: a lone surrogate fails the UTF-8 rule below
+        data = data.encode("utf-8", "surrogatepass")
+    # A line ends at \n, \r\n or \r, as bytes.splitlines splits; U+2028,
+    # U+2029 and U+0085 are data, which JSON allows raw inside a string.
+    for lineno, raw in enumerate(data.splitlines(), start=1):
         try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:  # number lines as the loop below does
-            lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
             raise ValueError(f"line {lineno}: invalid UTF-8: {exc.reason}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -394,7 +400,7 @@ def _read_records(source):
 
 
 def read_annotations(source):
-    """Read grasps from a JSON-lines annotation file (path or text file).
+    """Read grasps from a JSON-lines annotation file (path, text file or binary file).
 
     File angles are degrees; they are wrapped into (-pi/2, pi/2] on load.
     """
@@ -436,11 +442,8 @@ def grasp_to_record(g):
 def write_annotations(grasps, dest):
     """Write grasps to a JSON-lines annotation file (path or text file)."""
     text = "".join(json.dumps(grasp_to_record(g)) + "\n" for g in grasps)
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with nullcontext(dest) if hasattr(dest, "write") else open(dest, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def read_annotation_groups(source):

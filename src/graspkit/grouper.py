@@ -13,7 +13,6 @@ stage functions wrap the same steps.  An empty result is valid output.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .bundle import _float32
 from .decoder import TOP_K, DetectedKeypoint, _decode, _detected
 from .decoder import decode_bundle  # noqa: F401  (bench/spans.py traces it under this module)
-from .geometry import _center_form, angle_diff, class_to_angle, wrap_angle
+from .geometry import _center_form, _integer, angle_diff, class_to_angle, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,7 @@ class GroupingThresholds:
     def __post_init__(self):
         if not (self.rho_embed >= 0 and self.rho_cen >= 0 and self.tau_orient >= 0):
             raise ValueError("thresholds must be nonnegative numbers, not NaN")
-        if not isinstance(self.max_output, numbers.Integral) or self.max_output < 1:
+        if not _integer(self.max_output) or self.max_output < 1:
             raise ValueError(f"max_output must be an integer >= 1, got {self.max_output!r}")
 
 

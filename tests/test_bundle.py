@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import re
 import struct
 import warnings
 
@@ -497,3 +498,21 @@ def test_bundle_with_an_extra_plane_names_it():
     buf.seek(0)
     with pytest.raises(HeaderError, match=r"\['mask'\]"):
         read_bundle(buf)
+
+
+@pytest.mark.parametrize("field", ["num_classes", "downsample_ratio"])
+@pytest.mark.parametrize("value", [2.5, "4", True])
+def test_bundle_counts_must_be_integers(field, value):
+    b = random_bundle(np.random.default_rng(19))
+    planes = {name: getattr(b, name) for name in CANONICAL_PLANES}
+    counts = {"num_classes": b.num_classes, "downsample_ratio": b.downsample_ratio, field: value}
+    with pytest.raises(DimensionError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+        HeatmapBundle(**planes, **counts)
+
+
+def test_bundle_counts_accept_numpy_integers():
+    b = random_bundle(np.random.default_rng(20))
+    planes = {name: getattr(b, name) for name in CANONICAL_PLANES}
+    bundle = HeatmapBundle(**planes, num_classes=np.int64(b.num_classes), downsample_ratio=np.int32(3))
+    assert type(bundle.num_classes) is int and type(bundle.downsample_ratio) is int
+    assert bundle.validate().downsample_ratio == 3

@@ -174,3 +174,10 @@ def test_dedup_first_wins_per_role_across_classes(role):
         bundle, index = encode_targets([first, second], CFG)
         assert [e.index for e in index] == [0]
         assert bundle.equals(encode_targets([first], CFG)[0])  # the second grasp wrote nothing
+
+
+@pytest.mark.parametrize("name", ["image_height", "image_width", "num_classes", "downsample_ratio"])
+def test_config_rejects_booleans(name):
+    sizes = {"image_height": 228, "image_width": 228, "num_classes": 18, "downsample_ratio": 4, name: True}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got True"):
+        EncoderConfig(**sizes)

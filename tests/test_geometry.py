@@ -1,6 +1,7 @@
 """Grasp representation conversions, orientation classes and rotated IoU."""
 
 import io
+import json
 import math
 import re
 import struct
@@ -485,3 +486,38 @@ def test_iou_rejects_areas_beyond_the_float_range():
             rotated_iou(a, b)
     big = OrientedRect((50.0, 50.0), 1e200, 23.33, 0.0)
     assert rotated_iou(big, truth) == pytest.approx(200.0 / (1e200 * 23.33), rel=1e-12)  # 8.57e-200
+
+
+@pytest.mark.parametrize("source", ["path", "text", "binary"])
+def test_unicode_line_separators_inside_a_string_are_data(tmp_path, source):
+    # JSON allows U+2028, U+2029 and U+0085 raw inside a string; a line ends
+    # only at \n, \r\n or \r
+    image_id = "a\u2028b\u2029c\u0085d"
+    line = json.dumps({"x": 1.0, "y": 2.0, "theta_deg": 10.0, "w": 8.0, "image_id": image_id},
+                      ensure_ascii=False)
+    text = GOOD_RECORD + "\n" + line + "\n"
+    path = tmp_path / "ann.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    open_source = {"path": lambda: path, "text": lambda: io.StringIO(text),
+                   "binary": lambda: io.BytesIO(text.encode("utf-8"))}[source]
+    groups = read_annotation_groups(open_source())
+    assert list(groups) == ["0", image_id]
+    assert groups["0"] == groups[image_id] == read_annotations(open_source())[:1]
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_binary_stream_with_a_non_utf8_byte_names_the_line(newline):
+    data = GOOD_RECORD.encode() + newline + b'{"x": 1\xff}' + newline
+    for reader in (read_annotations, read_annotation_groups):
+        with pytest.raises(ValueError, match="^line 2: invalid UTF-8: invalid start byte"):
+            reader(io.BytesIO(data))
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_files_keep_their_line_numbers(tmp_path, newline):
+    path = tmp_path / "ann.jsonl"
+    for bad, message in (('{"x": 1}}', "^line 4: invalid JSON"), ('{"x": 1}', "^line 4: field 'y'")):
+        path.write_bytes(newline.join([GOOD_RECORD, "", GOOD_RECORD, bad, ""]).encode())
+        for reader in (read_annotations, read_annotation_groups):
+            with pytest.raises(ValueError, match=message):
+                reader(path)

@@ -445,3 +445,10 @@ def test_extract_center_scores_float64_beyond_float32_is_inf_without_warning():
     left = [DetectedKeypoint(4.0, 8.0, 0, 1.0, 0.0, "left")]
     right = [DetectedKeypoint(12.0, 8.0, 0, 1.0, 0.0, "right")]
     assert extract_center_scores(left, right, center, 4).tolist() == [[np.inf]]
+
+
+@pytest.mark.parametrize("max_output", [True, 2.5, "4"])
+def test_thresholds_reject_a_grasp_cap_that_is_not_an_integer(max_output):
+    with pytest.raises(ValueError, match=f"^max_output must be an integer >= 1, got {max_output!r}"):
+        GroupingThresholds(1.0, 0.05, 0.24, max_output=max_output)
+    assert GroupingThresholds(1.0, 0.05, 0.24, max_output=np.int64(4)).max_output == 4
