@@ -136,6 +136,8 @@ class HeatmapBundle:
         if self.downsample_ratio < 1:
             raise DimensionError(f"downsample_ratio must be >= 1, got {self.downsample_ratio}")
         h, w = self.center.shape[-2:]
+        if h < 1 or w < 1:
+            raise DimensionError(f"grid must be at least 1x1, got {h}x{w}")
         bounds = {}
         for name in _PLANE_COUNTS:
             arr, expected = getattr(self, name), _plane_shape(name, self.num_classes, h, w)
@@ -180,10 +182,10 @@ def write_gktb(dest, planes, *, num_classes, downsample_ratio):
             raise DimensionError(f"plane {name}: expected a 3-D array, got ndim={arr.ndim}")
     height, width = named[0][1].shape[1:] if named else (0, 0)
     header = {
-        "num_classes": int(num_classes),
+        "num_classes": num_classes,
         "height": height,
         "width": width,
-        "downsample_ratio": int(downsample_ratio),
+        "downsample_ratio": downsample_ratio,
         "planes": [{"name": name, "count": arr.shape[0]} for name, arr in named],
     }
     _layout(header)
@@ -191,7 +193,8 @@ def write_gktb(dest, planes, *, num_classes, downsample_ratio):
         if arr.shape[1:] != (height, width):
             raise DimensionError(f"plane {name}: grid {arr.shape[1:]} differs from {(height, width)}")
         _bounds(name, arr)
-    blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    # default=int writes the integers _layout accepts that json does not know (numpy's)
+    blob = json.dumps(header, separators=(",", ":"), default=int).encode("utf-8")
     with nullcontext(dest) if hasattr(dest, "write") else open(dest, "wb") as fh:
         written = fh.write(MAGIC + struct.pack("<BI", VERSION, len(blob)) + blob)
         for _, arr in named:

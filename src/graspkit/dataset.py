@@ -35,7 +35,7 @@ def classify_annotation(ratio):
 
     Boundary ratios 0.2 and 0.8 fall into the review band.
     """
-    if not 0.0 <= ratio <= 1.0:
+    if not (_finite_number(ratio) and 0.0 <= ratio <= 1.0):
         raise ValueError(f"ratio {ratio} outside [0, 1]")
     if ratio > 0.8:
         return CoverageDecision(float(ratio), "keep")

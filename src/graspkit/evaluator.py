@@ -35,9 +35,9 @@ class MatchCriteria:
     eval_height: float = 23.33
 
     def __post_init__(self):
-        if not 0 < self.min_jaccard < 1:
+        if not (_finite_number(self.min_jaccard) and 0 < self.min_jaccard < 1):
             raise ValueError(f"min_jaccard must lie in (0, 1), got {self.min_jaccard}")
-        if not 0 < self.max_angle_diff <= math.pi / 2:
+        if not (_finite_number(self.max_angle_diff) and 0 < self.max_angle_diff <= math.pi / 2):
             raise ValueError(f"max_angle_diff must lie in (0, pi/2], got {self.max_angle_diff}")
         if not (_finite_number(self.eval_height) and self.eval_height > 0):
             raise ValueError(f"eval_height must be a finite positive number, got {self.eval_height!r}")

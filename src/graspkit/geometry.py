@@ -109,17 +109,14 @@ class Grasp:
     h: float | None = None
 
     def __post_init__(self):
-        try:
-            if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.theta)):
-                raise ValueError(f"non-finite grasp fields ({self.x}, {self.y}, {self.theta})")
-            if not (-HALF_PI < self.theta <= HALF_PI):
-                raise ValueError(f"theta {self.theta} outside (-pi/2, pi/2]; wrap it first")
-            if not (self.w > 0 and math.isfinite(self.w)):
-                raise ValueError(f"grasp width must be finite and positive, got {self.w}")
-            if self.h is not None and not (self.h > 0 and math.isfinite(self.h)):
-                raise ValueError(f"grasp height must be finite and positive, got {self.h}")
-        except OverflowError:  # math.isfinite on an integer beyond the float range
-            raise ValueError("grasp fields must be finite; an integer exceeds the float range") from None
+        if not (_finite_number(self.x) and _finite_number(self.y) and _finite_number(self.theta)):
+            raise ValueError(f"non-finite grasp fields in {self}: x, y, theta must lie in the float range")
+        if not (-HALF_PI < self.theta <= HALF_PI):
+            raise ValueError(f"theta {self.theta} outside (-pi/2, pi/2]; wrap it first")
+        if not (_finite_number(self.w) and self.w > 0):
+            raise ValueError(f"grasp width must be a positive number in the float range, got {self.w!r}")
+        if self.h is not None and not (_finite_number(self.h) and self.h > 0):
+            raise ValueError(f"grasp height must be a positive number in the float range, got {self.h!r}")
 
 
 def pair_to_grasp(pair):
@@ -181,7 +178,8 @@ class OrientedRect:
     theta: float
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
+        if not (_finite_number(self.width) and self.width > 0
+                and _finite_number(self.height) and self.height > 0):
             raise ValueError(f"degenerate rectangle {self.width}x{self.height}")
 
     def corners(self):
@@ -362,6 +360,8 @@ def _integer(value):
 def _finite_number(value):
     """True for a real number, not a ``bool``, with a finite float value."""
     try:
+        if type(value) is float or type(value) is int:  # not bool: these skip the slow ABC check
+            return math.isfinite(value)
         return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False

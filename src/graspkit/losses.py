@@ -22,6 +22,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .geometry import _finite_number
+
 LOG_EPS = 1e-12
 
 
@@ -196,9 +198,9 @@ def gradient_check(fn, point, step=1e-5, rel_tol=1e-4):
     of relative size (zero-gradient points).
     """
     abs_floor = 1e-7
-    if not 1e-7 <= step <= 1e-3:
+    if not (_finite_number(step) and 1e-7 <= step <= 1e-3):
         raise ValueError(f"step {step} outside [1e-7, 1e-3]")
-    if not 0 < rel_tol < math.inf:
+    if not (_finite_number(rel_tol) and rel_tol > 0):
         raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
     if not math.isfinite(abs_floor / rel_tol):
         raise ValueError(f"rel_tol {rel_tol} is too small: abs_floor / rel_tol overflows")

@@ -26,7 +26,7 @@ from graspkit import (
     write_bundle,
     write_gktb,
 )
-from graspkit.bundle import CANONICAL_PLANES
+from graspkit.bundle import CANONICAL_PLANES, _plane_shape
 from helpers import random_bundle
 
 
@@ -164,6 +164,19 @@ def test_validate_rejects_shape_mismatch():
     b.center = np.zeros((b.height + 1, b.width), np.float32)
     with pytest.raises(DimensionError):
         b.validate()
+
+
+@pytest.mark.parametrize("height, width", [(0, 0), (0, 5), (4, 0)])
+def test_validate_rejects_a_grid_the_writer_rejects(height, width):
+    c = 3
+    bundle = HeatmapBundle(
+        **{name: np.zeros(_plane_shape(name, c, height, width), np.float32) for name in CANONICAL_PLANES},
+        num_classes=c, downsample_ratio=4,
+    )
+    with pytest.raises(DimensionError, match=f"grid must be at least 1x1, got {height}x{width}"):
+        bundle.validate()
+    with pytest.raises(DimensionError, match="grid must be at least 1x1"):
+        write_bundle(bundle, io.BytesIO())
 
 
 def test_header_count_mismatch_rejected():
@@ -383,6 +396,31 @@ def test_write_applies_the_reader_rules_before_opening_dest(tmp_path, planes, er
     with pytest.raises(error, match=message):
         write_gktb(path, planes, num_classes=0, downsample_ratio=1)
     assert path.read_bytes() == b"previous contents"
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({"num_classes": 2.5, "downsample_ratio": 4}, "'num_classes' must be an integer, got 2.5"),
+        ({"num_classes": 2, "downsample_ratio": True}, "'downsample_ratio' must be an integer, got True"),
+        ({"num_classes": "2", "downsample_ratio": 4}, "'num_classes' must be an integer, got '2'"),
+    ],
+)
+def test_write_checks_the_header_values_it_is_given(tmp_path, counts, message):
+    path = tmp_path / "existing.gktb"
+    path.write_bytes(b"previous contents")
+    with pytest.raises(HeaderError, match=message):
+        write_gktb(path, [("x", _A)], **counts)
+    assert path.read_bytes() == b"previous contents"
+
+
+def test_write_numpy_integer_counts_as_python_ints():
+    plain, numpy_counts = io.BytesIO(), io.BytesIO()
+    write_gktb(plain, [("x", _A)], num_classes=36, downsample_ratio=4)
+    write_gktb(numpy_counts, [("x", _A)], num_classes=np.int64(36), downsample_ratio=np.int32(4))
+    assert numpy_counts.getvalue() == plain.getvalue()
+    numpy_counts.seek(0)
+    assert read_gktb(numpy_counts)[0]["num_classes"] == 36
 
 
 def test_write_stores_any_name_as_its_string():

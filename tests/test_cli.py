@@ -451,6 +451,18 @@ def test_group_nan_threshold_is_data_error(tmp_path, annotations, flag):
     assert "NaN" in proc.stderr
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400"])
+@pytest.mark.parametrize("flag", ["--rho-embed", "--rho-cen", "--tau-orient"])
+def test_group_infinite_threshold_is_data_error(tmp_path, annotations, flag, value):
+    bundle = tmp_path / "b.gktb"
+    proc = run_in_process("encode", "--annotations", str(annotations), "--profile", "cornell",
+                          "--image-size", "228x228", "--out", str(bundle))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_in_process("group", "--bundle", str(bundle), "--profile", "cornell", f"{flag}={value}")
+    assert_data_error(proc)
+    assert "finite" in proc.stderr
+
+
 @pytest.mark.parametrize("points", ["0", "-2"])
 def test_gradcheck_without_points_is_data_error(points):
     assert_data_error(run_in_process("gradcheck", "--points", points))

@@ -346,6 +346,23 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_numpy_is_the_only_runtime_dependency():
+    # The interpreter's own start-up (site and .pth files) is the baseline:
+    # importing the library, its CLI and its checks may add only graspkit and
+    # numpy outside the standard library.
+    code = (
+        "import sys\n"
+        "before = {m.partition('.')[0] for m in sys.modules}\n"
+        "import graspkit, graspkit.checks, graspkit.cli\n"
+        "after = {m.partition('.')[0] for m in sys.modules}\n"
+        "print(' '.join(sorted(after - before - set(sys.stdlib_module_names))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) <= {"graspkit", "numpy"}
+    assert "graspkit" in proc.stdout.split()
+
+
 # A float64 value beyond the float32 range becomes inf without numpy's cast
 # warning, which the suite turns into an error.
 def test_suppress_non_maxima_float64_beyond_float32_is_inf_without_warning():

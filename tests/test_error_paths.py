@@ -11,15 +11,19 @@ import pytest
 from graspkit import (
     CORNELL,
     CORNELL_STATS,
+    ChannelStats,
     DepthImage,
     DimensionError,
     Grasp,
     GripperModel2D,
+    GroupingThresholds,
     HeaderError,
     KeypointPair,
     MatchCriteria,
     OrientedRect,
+    classify_annotation,
     detection_loss,
+    gradient_check,
     evaluate_dataset,
     filter_pairs,
     ground_truth_offset,
@@ -202,3 +206,63 @@ def test_pipeline_detector_on_a_cleared_scene_proposes_nothing():
     for block in list(scene.blocks):
         scene.remove(block.block_id)
     assert detect(None) == []
+
+
+# every real-number setting (geometry._finite_number)
+
+
+def _thresholds(name):
+    return lambda v: GroupingThresholds(**{"rho_embed": 1.0, "rho_cen": 0.05, "tau_orient": 0.24, name: v})
+
+
+def _gripper(name):
+    return lambda v: GripperModel2D(**{name: v})
+
+
+def _square(x):
+    return float(x @ x), 2.0 * x
+
+
+# Each setting: a builder that puts the value in that field, all others
+# valid, and a valid value of the field, exact in float32.
+_REAL_SETTINGS = {
+    "Grasp.x": (lambda v: Grasp(v, 2.0, 0.5, 10.0), 1),
+    "Grasp.y": (lambda v: Grasp(1.0, v, 0.5, 10.0), 2),
+    "Grasp.theta": (lambda v: Grasp(1.0, 2.0, v, 10.0), 1),
+    "Grasp.w": (lambda v: Grasp(1.0, 2.0, 0.5, v), 10),
+    "Grasp.h": (lambda v: Grasp(1.0, 2.0, 0.5, 10.0, h=v), 5),
+    "OrientedRect.width": (lambda v: OrientedRect((0.0, 0.0), v, 1.0, 0.0), 2),
+    "OrientedRect.height": (lambda v: OrientedRect((0.0, 0.0), 2.0, v, 0.0), 1),
+    "GroupingThresholds.rho_embed": (_thresholds("rho_embed"), 1),
+    "GroupingThresholds.rho_cen": (_thresholds("rho_cen"), 0),
+    "GroupingThresholds.tau_orient": (_thresholds("tau_orient"), 1),
+    "MatchCriteria.max_angle_diff": (lambda v: MatchCriteria(max_angle_diff=v), 1),
+    "MatchCriteria.min_jaccard": (lambda v: MatchCriteria(min_jaccard=v), 0.5),
+    "MatchCriteria.eval_height": (lambda v: MatchCriteria(eval_height=v), 23),
+    "GripperModel2D.finger_thickness_mm": (_gripper("finger_thickness_mm"), 17),
+    "GripperModel2D.max_open_mm": (_gripper("max_open_mm"), 200),
+    "GripperModel2D.finger_length_mm": (_gripper("finger_length_mm"), 40),
+    "GripperModel2D.pixels_per_mm": (_gripper("pixels_per_mm"), 1),
+    "ChannelStats.means": (lambda v: ChannelStats((v, 0.5, 0.5), (1.0, 1.0, 1.0), "x"), 0),
+    "ChannelStats.stds": (lambda v: ChannelStats((0.5, 0.5, 0.5), (v, 1.0, 1.0), "x"), 1),
+    "classify_annotation": (classify_annotation, 1),
+    "gradient_check.step": (lambda v: gradient_check(_square, np.ones(2), step=v), 2.0**-14),
+    "gradient_check.rel_tol": (lambda v: gradient_check(_square, np.ones(2), rel_tol=v), 1),
+}
+_NOT_REAL = {"bool": True, "str": "1", "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+             "int-beyond-float": 10**400, "None": None}
+
+
+@pytest.mark.parametrize("case", [*_NOT_REAL, "numpy"])
+@pytest.mark.parametrize("setting", list(_REAL_SETTINGS))
+def test_a_real_setting_takes_a_finite_real_number_only(setting, case):
+    build, valid = _REAL_SETTINGS[setting]
+    if case == "numpy":  # numpy's float32 form of a valid value, and its int64 form where one is valid
+        for value in (np.float32(valid), np.int64(valid)):
+            if value == valid:
+                build(value)
+    elif case == "None" and setting == "Grasp.h":  # a grasp's height is optional
+        assert build(None).h is None
+    else:  # a ValueError, never a TypeError or an OverflowError
+        with pytest.raises(ValueError):
+            build(_NOT_REAL[case])
