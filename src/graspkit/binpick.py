@@ -71,7 +71,10 @@ class SyntheticScene:
     def render(self):
         depth = np.full((self.image_height, self.image_width), self.surface_mm, dtype=np.float32)
         for b in self.blocks:
-            depth[b.y0 : b.y0 + b.size_y, b.x0 : b.x0 + b.size_x] = self.surface_mm - b.height_mm
+            # clipped at 0: a negative slice bound would count from the far edge
+            rows = slice(max(b.y0, 0), max(b.y0 + b.size_y, 0))
+            cols = slice(max(b.x0, 0), max(b.x0 + b.size_x, 0))
+            depth[rows, cols] = self.surface_mm - b.height_mm
         return DepthImage.flat_surface(depth, self.surface_mm)
 
     def block_at(self, x, y):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _finite_number, _rect_frame, rect_from_grasp
+from .geometry import _finite_number, _rect_frame, _shown, rect_from_grasp
 
 
 class DegenerateMaskError(ValueError):
@@ -36,7 +36,7 @@ def classify_annotation(ratio):
     Boundary ratios 0.2 and 0.8 fall into the review band.
     """
     if not (_finite_number(ratio) and 0.0 <= ratio <= 1.0):
-        raise ValueError(f"ratio {ratio} outside [0, 1]")
+        raise ValueError(f"ratio {_shown(ratio)} outside [0, 1]")
     if ratio > 0.8:
         return CoverageDecision(float(ratio), "keep")
     if ratio < 0.2:
@@ -76,9 +76,9 @@ class ChannelStats:
         if len(self.means) != 3 or len(self.stds) != 3:
             raise ValueError("need exactly three channel means and stds")
         if not all(_finite_number(m) for m in self.means):
-            raise ValueError(f"means must be finite numbers, got {self.means}")
+            raise ValueError(f"means must be finite numbers, got {', '.join(map(_shown, self.means))}")
         if not all(_finite_number(s) and s > 0 for s in self.stds):
-            raise ValueError(f"stds must be finite and positive, got {self.stds}")
+            raise ValueError(f"stds must be finite and positive, got {', '.join(map(_shown, self.stds))}")
 
 
 CORNELL_STATS = ChannelStats(means=(0.85, 0.81, 0.25), stds=(0.10, 0.11, 0.09), profile="cornell")

@@ -16,13 +16,14 @@ strict Heaviside step (H(0) = 0).  The total is the plain sum s_c+s_o+s_h.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .bundle import _float32, _read_planes, write_gktb
-from .geometry import _finite_number, _rect_frame
+from .geometry import _finite_number, _rect_frame, _shown
 
 
 class GripperCapacityError(ValueError):
@@ -56,11 +57,25 @@ class DepthImage:
 
     @classmethod
     def flat_surface(cls, depth, surface_mm):
-        return cls(depth, np.full(np.shape(depth), _float32(float(surface_mm))))
+        """A depth image over a constant surface at ``surface_mm``.
+
+        The surface plane is shared and read-only: images of one shape and
+        level hold the same array, so copy it to change it.
+        """
+        return cls(depth, _flat_plane(np.shape(depth), float(surface_mm)))
 
     @property
     def shape(self):
         return self.depth.shape
+
+
+@functools.lru_cache(maxsize=1)
+def _flat_plane(shape, surface_mm):
+    """The read-only constant plane of ``flat_surface``, built once per
+    shape and level (a bin-picking trial renders the same one each attempt)."""
+    plane = np.full(shape, _float32(surface_mm))
+    plane.flags.writeable = False
+    return plane
 
 
 @dataclass(frozen=True)
@@ -81,7 +96,7 @@ class GripperModel2D:
         for f in fields(self):
             value = getattr(self, f.name)
             if not (_finite_number(value) and value > 0):
-                raise ValueError(f"{f.name} must be a finite positive number, got {value!r}")
+                raise ValueError(f"{f.name} must be a finite positive number, got {_shown(value)}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import _finite_number, _rotated_ious, angle_diff, rect_from_grasp
+from .geometry import _finite_number, _rotated_ious, _shown, angle_diff, rect_from_grasp
 from .geometry import rotated_iou  # noqa: F401  (bench/spans.py traces it under this module)
 
 
@@ -36,11 +36,11 @@ class MatchCriteria:
 
     def __post_init__(self):
         if not (_finite_number(self.min_jaccard) and 0 < self.min_jaccard < 1):
-            raise ValueError(f"min_jaccard must lie in (0, 1), got {self.min_jaccard}")
+            raise ValueError(f"min_jaccard must lie in (0, 1), got {_shown(self.min_jaccard)}")
         if not (_finite_number(self.max_angle_diff) and 0 < self.max_angle_diff <= math.pi / 2):
-            raise ValueError(f"max_angle_diff must lie in (0, pi/2], got {self.max_angle_diff}")
+            raise ValueError(f"max_angle_diff must lie in (0, pi/2], got {_shown(self.max_angle_diff)}")
         if not (_finite_number(self.eval_height) and self.eval_height > 0):
-            raise ValueError(f"eval_height must be a finite positive number, got {self.eval_height!r}")
+            raise ValueError(f"eval_height must be a finite positive number, got {_shown(self.eval_height)}")
 
 
 @dataclass

@@ -110,13 +110,16 @@ class Grasp:
 
     def __post_init__(self):
         if not (_finite_number(self.x) and _finite_number(self.y) and _finite_number(self.theta)):
-            raise ValueError(f"non-finite grasp fields in {self}: x, y, theta must lie in the float range")
+            raise ValueError(
+                f"non-finite grasp fields x={_shown(self.x)}, y={_shown(self.y)}, theta={_shown(self.theta)}:"
+                " x, y, theta must lie in the float range"
+            )
         if not (-HALF_PI < self.theta <= HALF_PI):
             raise ValueError(f"theta {self.theta} outside (-pi/2, pi/2]; wrap it first")
         if not (_finite_number(self.w) and self.w > 0):
-            raise ValueError(f"grasp width must be a positive number in the float range, got {self.w!r}")
+            raise ValueError(f"grasp width must be a positive number in the float range, got {_shown(self.w)}")
         if self.h is not None and not (_finite_number(self.h) and self.h > 0):
-            raise ValueError(f"grasp height must be a positive number in the float range, got {self.h!r}")
+            raise ValueError(f"grasp height must be a positive number in the float range, got {_shown(self.h)}")
 
 
 def pair_to_grasp(pair):
@@ -180,7 +183,7 @@ class OrientedRect:
     def __post_init__(self):
         if not (_finite_number(self.width) and self.width > 0
                 and _finite_number(self.height) and self.height > 0):
-            raise ValueError(f"degenerate rectangle {self.width}x{self.height}")
+            raise ValueError(f"degenerate rectangle: width {_shown(self.width)}, height {_shown(self.height)}")
 
     def corners(self):
         """4x2 array of vertices, counterclockwise (positive shoelace area)."""
@@ -367,6 +370,16 @@ def _finite_number(value):
         return False
 
 
+def _shown(value):
+    """``repr(value)`` for an error message, except that an integer of more
+    than 1024 bits (beyond the float range) shows as "an integer of N bits",
+    or "a negative integer of N bits": ``int.__str__`` refuses one of more
+    than 4300 digits."""
+    if isinstance(value, int) and value.bit_length() > 1024:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    return repr(value)
+
+
 def _read_records(source):
     """Yield ``(record, Grasp)`` for each line of a JSON-lines annotation
     file (path, text file or binary file).
@@ -419,7 +432,7 @@ def grasp_from_record(rec):
     for name in ("x", "y", "theta_deg", "w", "h"):
         value = rec.get(name)
         if not (_finite_number(value) or (name == "h" and value is None)):
-            raise ValueError(f"field {name!r} must be a finite number, got {value!r}")
+            raise ValueError(f"field {name!r} must be a finite number, got {_shown(value)}")
     return Grasp(
         x=float(rec["x"]),
         y=float(rec["y"]),

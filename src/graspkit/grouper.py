@@ -20,7 +20,7 @@ import numpy as np
 from .bundle import _float32
 from .decoder import TOP_K, DetectedKeypoint, _decode, _detected
 from .decoder import decode_bundle  # noqa: F401  (bench/spans.py traces it under this module)
-from .geometry import _center_form, _finite_number, _integer, angle_diff, class_to_angle, wrap_angle
+from .geometry import _center_form, _finite_number, _integer, _shown, angle_diff, class_to_angle, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class GroupingThresholds:
         if not all(_finite_number(v) and v >= 0 for v in (self.rho_embed, self.rho_cen, self.tau_orient)):
             raise ValueError("thresholds must be finite nonnegative numbers, not NaN or a bool")
         if not _integer(self.max_output) or self.max_output < 1:
-            raise ValueError(f"max_output must be an integer >= 1, got {self.max_output!r}")
+            raise ValueError(f"max_output must be an integer >= 1, got {_shown(self.max_output)}")
 
 
 @dataclass(frozen=True)

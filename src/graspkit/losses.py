@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import _finite_number
+from .geometry import _finite_number, _shown
 
 LOG_EPS = 1e-12
 
@@ -199,9 +199,9 @@ def gradient_check(fn, point, step=1e-5, rel_tol=1e-4):
     """
     abs_floor = 1e-7
     if not (_finite_number(step) and 1e-7 <= step <= 1e-3):
-        raise ValueError(f"step {step} outside [1e-7, 1e-3]")
+        raise ValueError(f"step {_shown(step)} outside [1e-7, 1e-3]")
     if not (_finite_number(rel_tol) and rel_tol > 0):
-        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
+        raise ValueError(f"rel_tol must be finite and > 0, got {_shown(rel_tol)}")
     if not math.isfinite(abs_floor / rel_tol):
         raise ValueError(f"rel_tol {rel_tol} is too small: abs_floor / rel_tol overflows")
     x0 = np.asarray(point, dtype=float)

@@ -1,10 +1,14 @@
 """Seeded bin-picking simulation: protocol, determinism, pipeline detector."""
 
+import hashlib
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graspkit import (
     CORNELL,
@@ -178,3 +182,101 @@ def test_log_holds_no_count_besides_its_attempts():
     assert [f.name for f in fields(BinPickLog)] == ["seed", "n_objects", "attempts"]
     log = BinPickLog(seed=0, n_objects=2, attempts=[{"success": True}, {"success": False}])
     assert (log.successes, log.cleared) == (1, 1)
+
+
+# sha256 of the sorted-key JSON log of one 25-object trial per seed; the
+# oracle and the pipeline detector give the same log on these seeds.
+GOLDEN_LOGS = {
+    0: "1cd1f1b2c7362dfbf9fad72225c75b0dbf7bc990a80cf535bd62cd46888e4efb",
+    1: "91d4e9ca7e7a43e3b9d0bf4df9bdae650cb7595d68d263a2cca8694fbee4674d",
+    2: "3c433bcd9f1cf4e41ecc50d79f4f20dc0343afedb1b53e9fc40c8fe00e5f230f",
+    3: "b6f9f8919d5ba2b2df0fea148296bf5644368a790cfd1611ea71a61ed275c5a1",
+    4: "552b8a4a72392bca3236b947709410c2265d505ef32259e7acfdc6a79916943c",
+    5: "8ce7f854a08083899eed3f767b1463c2ee5199c8e88ae848ba1a8d4e51316d35",
+    6: "836435acaed979bcdb0f8f69f8cd51fa3c18c7df060b6938ffcf92bd8fea933d",
+    7: "d9873be6678f25267c9801fb9f18a6f18228a91b171f2eb50858e8247685d41c",
+}
+
+
+@pytest.mark.parametrize("seed", list(GOLDEN_LOGS))
+@pytest.mark.parametrize("detector", ["oracle", "pipeline"])
+def test_bin_pick_logs_match_their_golden_digests(detector, seed):
+    scene = make_scene(seed, 25)
+    if detector == "oracle":
+        detect = oracle_detector(scene)
+    else:
+        detect = pipeline_detector(scene, CORNELL.thresholds, seed=seed)
+    log = run_bin_picking(scene, detect, MODEL).to_dict()
+    assert hashlib.sha256(json.dumps(log, sort_keys=True).encode()).hexdigest() == GOLDEN_LOGS[seed]
+
+
+def _reference_render(scene):
+    """A fresh plane painted pixel set by pixel set: each block covers the
+    image pixels its ``contains`` test admits, later blocks over earlier."""
+    shape = (scene.image_height, scene.image_width)
+    rows, cols = np.indices(shape)
+    depth = np.full(shape, np.float32(scene.surface_mm))
+    for b in scene.blocks:
+        inside = (b.x0 <= cols) & (cols < b.x0 + b.size_x) & (b.y0 <= rows) & (rows < b.y0 + b.size_y)
+        depth[inside] = np.float32(scene.surface_mm - b.height_mm)
+    return depth
+
+
+@st.composite
+def _scenes(draw):
+    """Scenes of up to 8 blocks that may overlap each other or reach past
+    any image edge, or lie wholly off the image; every block is lower than
+    the surface."""
+    height, width = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    surface = draw(st.floats(1.0, 5000.0))
+    blocks = [
+        Block(i, draw(st.integers(-50, 60)), draw(st.integers(-50, 60)),
+              draw(st.integers(0, 50)), draw(st.integers(0, 50)),
+              surface * draw(st.floats(0.0, 0.99)))
+        for i in range(draw(st.integers(0, 8)))
+    ]
+    return SyntheticScene(0, height, width, surface, blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scenes())
+def test_render_matches_the_reference_painting_bit_for_bit(scene):
+    image = scene.render()
+    reference = _reference_render(scene)
+    assert image.depth.dtype == np.float32 and image.depth.tobytes() == reference.tobytes()
+    assert image.surface.tobytes() == np.full(image.shape, np.float32(scene.surface_mm)).tobytes()
+
+
+def test_renders_share_one_read_only_surface_plane_and_paint_a_fresh_depth_plane():
+    scene = make_scene(0, 4)
+    first, second = scene.render(), scene.render()
+    assert first.surface is second.surface
+    with pytest.raises(ValueError, match="read-only"):
+        first.surface[0, 0] = 1.0
+    assert first.depth is not second.depth
+    first.depth[0, 0] = 1.0  # each depth plane is the image's own
+    assert second.depth[0, 0] == scene.render().depth[0, 0] == np.float32(scene.surface_mm)
+
+
+def test_a_new_surface_level_or_image_size_renders_a_new_plane():
+    scene = _scene(Block(0, 10, 10, 20, 20, 30.0))
+    assert np.all(scene.render().surface == np.float32(1000.0))
+    scene.surface_mm = 800.0
+    image = scene.render()
+    assert image.surface.shape == (100, 100) and np.all(image.surface == np.float32(800.0))
+    assert image.depth[20, 20] == np.float32(770.0)
+    scene.image_width = 60
+    image = scene.render()
+    assert image.surface.shape == image.depth.shape == (100, 60)
+    assert np.all(image.surface == np.float32(800.0))
+
+
+@pytest.mark.parametrize("surface, height", [
+    (0.0, 30.0), (-1.0, 30.0), (math.nan, 30.0), (math.inf, 30.0), (1000.0, 1000.0), (1000.0, 1500.0),
+], ids=["surface-0", "surface--1", "surface-nan", "surface-inf", "block-as-tall", "block-taller"])
+def test_a_bad_surface_or_block_raises_on_every_render(surface, height):
+    scene = _scene(Block(0, 10, 10, 20, 20, height))
+    scene.surface_mm = surface
+    for _ in range(3):
+        with pytest.raises(ValueError, match="finite, strictly positive"):
+            scene.render()

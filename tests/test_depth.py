@@ -213,6 +213,28 @@ def test_depth_gktb_roundtrip():
     assert float(back2.surface.max()) == float(scene.depth.max())
 
 
+def test_flat_surface_shares_one_read_only_plane_per_shape_and_level():
+    depth = np.full((6, 7), 900.0, np.float32)
+    a, b = DepthImage.flat_surface(depth, 1000.0), DepthImage.flat_surface(depth.copy(), 1000)
+    assert a.surface is b.surface
+    assert a.surface.dtype == np.float32 and a.surface.tobytes() == np.full((6, 7), np.float32(1000.0)).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        a.surface[0, 0] = 1.0
+    changed = a.surface.copy()  # a copy is the caller's to change
+    changed[0, 0] = 1.0
+    assert b.surface[0, 0] == np.float32(1000.0)
+    for shape, level in (((6, 7), 1200.0), ((7, 6), 1200.0)):
+        image = DepthImage.flat_surface(np.full(shape, 900.0, np.float32), level)
+        assert image.surface.shape == shape and np.all(image.surface == np.float32(level))
+    # a file without a surface plane falls back to the shared plane
+    buf = io.BytesIO()
+    write_depth_gktb(DepthImage(depth, np.full((6, 7), 1000.0)), buf, include_surface=False)
+    buf.seek(0)
+    back = read_depth_gktb(buf, surface_mm=1000.0)
+    assert back.surface is DepthImage.flat_surface(depth, 1000.0).surface
+    assert not back.surface.flags.writeable
+
+
 def test_grasp_score_failed_sentinel():
     s = GraspScore.failed()
     assert s.total == -1.0 and not s.valid

@@ -4,6 +4,7 @@ each early return on empty input, run with an input that takes it."""
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from graspkit import (
     ChannelStats,
     DepthImage,
     DimensionError,
+    EncoderConfig,
     Grasp,
     GripperModel2D,
     GroupingThresholds,
@@ -39,6 +41,7 @@ from graspkit import (
     write_annotations,
     write_gktb,
 )
+from graspkit.geometry import grasp_from_record
 from helpers import random_bundle
 
 # bundle
@@ -266,3 +269,52 @@ def test_a_real_setting_takes_a_finite_real_number_only(setting, case):
     else:  # a ValueError, never a TypeError or an OverflowError
         with pytest.raises(ValueError):
             build(_NOT_REAL[case])
+
+
+# An integer of 5000 digits is beyond what int.__str__ prints (4300 digits by
+# default); each setting still raises its own message, naming the integer by
+# its bit count.
+_LONG = "an integer of 16610 bits"
+_OWN_MESSAGES = {
+    "Grasp.x": f"non-finite grasp fields x={_LONG}, y=2.0, theta=0.5: x, y, theta must lie in the float range",
+    "Grasp.y": f"non-finite grasp fields x=1.0, y={_LONG}, theta=0.5: x, y, theta must lie in the float range",
+    "Grasp.theta": f"non-finite grasp fields x=1.0, y=2.0, theta={_LONG}: x, y, theta must lie in the float range",
+    "Grasp.w": f"grasp width must be a positive number in the float range, got {_LONG}",
+    "Grasp.h": f"grasp height must be a positive number in the float range, got {_LONG}",
+    "OrientedRect.width": f"degenerate rectangle: width {_LONG}, height 1.0",
+    "OrientedRect.height": f"degenerate rectangle: width 2.0, height {_LONG}",
+    "GroupingThresholds.rho_embed": "thresholds must be finite nonnegative numbers, not NaN or a bool",
+    "GroupingThresholds.rho_cen": "thresholds must be finite nonnegative numbers, not NaN or a bool",
+    "GroupingThresholds.tau_orient": "thresholds must be finite nonnegative numbers, not NaN or a bool",
+    "MatchCriteria.max_angle_diff": f"max_angle_diff must lie in (0, pi/2], got {_LONG}",
+    "MatchCriteria.min_jaccard": f"min_jaccard must lie in (0, 1), got {_LONG}",
+    "MatchCriteria.eval_height": f"eval_height must be a finite positive number, got {_LONG}",
+    "GripperModel2D.finger_thickness_mm": f"finger_thickness_mm must be a finite positive number, got {_LONG}",
+    "GripperModel2D.max_open_mm": f"max_open_mm must be a finite positive number, got {_LONG}",
+    "GripperModel2D.finger_length_mm": f"finger_length_mm must be a finite positive number, got {_LONG}",
+    "GripperModel2D.pixels_per_mm": f"pixels_per_mm must be a finite positive number, got {_LONG}",
+    "ChannelStats.means": f"means must be finite numbers, got {_LONG}, 0.5, 0.5",
+    "ChannelStats.stds": f"stds must be finite and positive, got {_LONG}, 1.0, 1.0",
+    "classify_annotation": f"ratio {_LONG} outside [0, 1]",
+    "gradient_check.step": f"step {_LONG} outside [1e-7, 1e-3]",
+    "gradient_check.rel_tol": f"rel_tol must be finite and > 0, got {_LONG}",
+}
+
+
+@pytest.mark.parametrize("setting", list(_REAL_SETTINGS))
+def test_an_integer_too_long_to_print_raises_the_settings_own_message(setting):
+    build, _ = _REAL_SETTINGS[setting]
+    with pytest.raises(ValueError, match=f"^{re.escape(_OWN_MESSAGES[setting])}$"):
+        build(10**5000)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda v: grasp_from_record({"x": v, "y": 2.0, "theta_deg": 10.0, "w": 8.0}),
+     f"field 'x' must be a finite number, got {_LONG}"),
+    (lambda v: EncoderConfig(-v, 64, 18), "image_height must be an integer >= 1, got a negative integer of 16610 bits"),
+    (lambda v: GroupingThresholds(1.0, 0.05, 0.24, max_output=-v),
+     "max_output must be an integer >= 1, got a negative integer of 16610 bits"),
+], ids=["grasp_from_record", "EncoderConfig", "GroupingThresholds.max_output"])
+def test_an_integer_too_long_to_print_is_named_by_its_bit_count(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(10**5000)
