@@ -12,6 +12,8 @@ camera):
 
 with p_c the grasp center, d_S the supporting-surface depth map and H the
 strict Heaviside step (H(0) = 0).  The total is the plain sum s_c+s_o+s_h.
+Each comparison is written once (``_collision``, ``_occupancy``); the scorers read
+region depths at given ``regions`` index sets, else by mask from one rasterization.
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ class GripperModel2D:
     """Projected parallel-jaw gripper.
 
     finger_length_mm extends along the closing axis beyond each keypoint,
-    finger_thickness_mm across it; pixels_per_mm scales physical millimeters
-    to image pixels.
+    finger_thickness_mm across it; max_open_mm caps the grasp opening;
+    pixels_per_mm scales physical millimeters to image pixels.
     """
 
     finger_thickness_mm: float = 17.0
@@ -160,40 +162,51 @@ def _gripper_masks(g, model, shape):
 
 
 def gripper_regions(g, model, shape):
-    """Rasterize finger and interior rectangles to pixel index sets.
-
-    Returns ``((finger_rows, finger_cols), (interior_rows, interior_cols))``
-    clipped to the image, each in row-major order.  Only the rectangle's
-    own bounding box is scanned; pixels are included by a center-in-
-    rectangle test in the grasp frame, so the sets are disjoint by
-    construction.
-    """
+    """Finger and interior pixel index sets, ``((finger_rows, finger_cols),
+    (interior_rows, interior_cols))``, clipped to the image, each in
+    row-major order; disjoint, as the masks of ``_gripper_masks`` are."""
     (rows, cols), finger, interior = _gripper_masks(g, model, shape)
     fr, fc = np.nonzero(finger)
     ir, ic = np.nonzero(interior)
     return (fr + rows.start, fc + cols.start), (ir + rows.start, ic + cols.start)
 
 
-def _fraction(hits, n, region):
-    """Share of a region's ``n`` pixels that are ``hits``; an exact count
-    divided once.  A region of zero pixels raises DegenerateRegionError."""
-    if n == 0:
+def _fraction(hits, region):
+    """Exact share of ``hits``; a region of zero pixels raises DegenerateRegionError."""
+    if hits.size == 0:
         raise DegenerateRegionError(f"{region} region clipped to zero pixels")
-    return float(np.count_nonzero(hits) / n)
+    return float(np.count_nonzero(hits) / hits.size)
+
+
+def _region_depths(g, depth_image, model, regions):
+    """Finger and interior depths: at ``regions`` if given, else by mask."""
+    if regions is None:
+        window, finger, interior = _gripper_masks(g, model, depth_image.shape)
+        return depth_image.depth[window][finger], depth_image.depth[window][interior]
+    (fr, fc), (ir, ic) = regions
+    return depth_image.depth[fr, fc], depth_image.depth[ir, ic]
+
+
+def _collision(finger_depths, depth_image, pc):
+    return _fraction(finger_depths > depth_image.depth[pc], "finger")
+
+
+def _occupancy(interior_depths, depth_image, pc):
+    return _fraction(interior_depths < depth_image.surface[pc], "interior")
 
 
 def collision_score(g, depth_image, model, regions=None):
-    """Fraction of finger pixels strictly deeper than the grasp center."""
-    (fr, fc), _ = regions if regions is not None else gripper_regions(g, model, depth_image.shape)
-    d_center = depth_image.depth[_center_pixel(g, depth_image.shape)]
-    return _fraction(depth_image.depth[fr, fc] > d_center, fr.size, "finger")
+    """Fraction of finger pixels strictly deeper than the grasp center, at
+    the ``regions`` index sets if given, else by mask from one rasterization."""
+    finger_depths, _ = _region_depths(g, depth_image, model, regions)
+    return _collision(finger_depths, depth_image, _center_pixel(g, depth_image.shape))
 
 
 def occupancy_score(g, depth_image, model, regions=None):
-    """Fraction of interior pixels strictly above the surface at the center."""
-    _, (ir, ic) = regions if regions is not None else gripper_regions(g, model, depth_image.shape)
-    d_surface = depth_image.surface[_center_pixel(g, depth_image.shape)]
-    return _fraction(depth_image.depth[ir, ic] < d_surface, ir.size, "interior")
+    """Fraction of interior pixels strictly above the surface at the center;
+    ``regions`` are read as in ``collision_score``."""
+    _, interior_depths = _region_depths(g, depth_image, model, regions)
+    return _occupancy(interior_depths, depth_image, _center_pixel(g, depth_image.shape))
 
 
 def height_score(g, depth_image):
@@ -207,18 +220,13 @@ def height_score(g, depth_image):
 
 
 def score_grasp(g, depth_image, model):
-    """All three scores for one grasp; raises on capacity/degenerate cases.
-
-    Counts pixels on the masks of one rasterization, with the same
-    fraction rule as ``collision_score`` and ``occupancy_score``; the finger
-    region is checked first.
-    """
-    window, finger, interior = _gripper_masks(g, model, depth_image.shape)
+    """All three scores for one grasp, by mask from one rasterization through the
+    helpers of the two scorers; raises on capacity/degenerate cases, finger first."""
+    finger_depths, interior_depths = _region_depths(g, depth_image, model, None)
     pc = _center_pixel(g, depth_image.shape)
-    d = depth_image.depth[window]
     return GraspScore.compute(
-        _fraction(finger & (d > depth_image.depth[pc]), np.count_nonzero(finger), "finger"),
-        _fraction(interior & (d < depth_image.surface[pc]), np.count_nonzero(interior), "interior"),
+        _collision(finger_depths, depth_image, pc),
+        _occupancy(interior_depths, depth_image, pc),
         height_score(g, depth_image),
     )
 

@@ -302,6 +302,50 @@ def test_gripper_regions_match_circumscribed_window_reference(case):
         assert np.array_equal(got_idx, want_idx)  # same pixels, same row-major order
 
 
+def _scores_or_errors(g, scene, model, regions=None):
+    out = []
+    for fn in (collision_score, occupancy_score):
+        try:
+            out.append(fn(g, scene, model, regions))
+        except ValueError as exc:
+            out.append(type(exc))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grasp_cases(), st.integers(0, 2**32 - 1))
+def test_scores_read_the_same_depths_by_mask_and_by_index_sets(case, seed):
+    g, model, shape = case
+    rng = np.random.default_rng(seed)
+    # few depth levels over a non-constant surface, so the strict steps meet ties
+    scene = DepthImage(rng.integers(990, 1010, shape).astype(np.float32),
+                       rng.integers(995, 1005, shape).astype(np.float32))
+    by_mask = _scores_or_errors(g, scene, model)
+    try:
+        scored = score_grasp(g, scene, model)
+    except ValueError as exc:
+        scored = type(exc)
+    regions = _regions_or_error(gripper_regions, g, model, shape)
+    if isinstance(regions, type):
+        assert by_mask == [regions, regions] and scored is regions
+        return
+    (fr, fc), (ir, ic) = regions
+    pc = (min(int(round(g.y)), shape[0] - 1), min(int(round(g.x)), shape[1] - 1))
+    # the formulas written out on the index sets: exact means, or no pixels
+    want = [
+        float(np.mean(scene.depth[fr, fc] > scene.depth[pc])) if fr.size else DegenerateRegionError,
+        float(np.mean(scene.depth[ir, ic] < scene.surface[pc])) if ir.size else DegenerateRegionError,
+    ]
+    assert by_mask == want
+    assert _scores_or_errors(g, scene, model, regions) == want
+    assert all(type(v) is float for v in by_mask if not isinstance(v, type))
+    errors = [v for v in want if isinstance(v, type)]
+    if errors:  # the finger region is checked first
+        assert scored is errors[0]
+    else:
+        assert (scored.collision, scored.occupancy) == tuple(want)
+
+
 def test_score_grasps_match_reference_loop_on_clean_and_noisy_scenes():
     rng = np.random.default_rng(11)
     for seed in range(12):

@@ -2,7 +2,7 @@
 
 import json
 import math
-import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -147,9 +147,17 @@ def test_evaluate_permutation_invariant():
     assert evaluate_dataset(dict(items), truths, CORNELL_CRIT).accuracy == base
 
 
-def test_measure_fps_sleep_fixture():
-    fps = measure_fps(lambda _: time.sleep(0.02), [None], warmup=5, timed=50, repeats=3)
-    assert fps == pytest.approx(50.0, abs=5.0)
+def test_measure_fps_sleep_fixture(monkeypatch):
+    # a fake clock that each pipeline call advances by exactly 0.02 s (a
+    # Fraction, so the timed span sums to 1 s with no rounding)
+    now = [Fraction(0)]
+
+    def pipeline(_):
+        now[0] += Fraction(1, 50)
+
+    monkeypatch.setattr("graspkit.evaluator.time.perf_counter", lambda: now[0])
+    fps = measure_fps(pipeline, [None], warmup=5, timed=50, repeats=3)
+    assert fps == 50.0
 
 
 def test_measure_fps_zero_work():
