@@ -4,10 +4,13 @@ A scene is a constant-depth support surface with axis-aligned rectangular
 blocks; rendered depth at a block pixel is surface minus block height
 (later blocks win where footprints overlap).  The picking loop mirrors the
 physical protocol: detect grasps on the current depth image, score them,
-attempt the best one, and stop when either the bin is empty or the same
-object has failed five consecutive times.  A simulated attempt succeeds iff
-the grasp is collision-free (s_c == 1), the interior is majority-occupied
-(s_o > 0.5) and the grasp center lies on a block footprint.
+attempt one, and stop when either the bin is empty or the same object has
+failed five consecutive times.  A simulated attempt succeeds iff the grasp
+is feasible by its scores (valid, collision-free s_c == 1 and
+majority-occupied interior s_o > 0.5) and its center lies on a block
+footprint.  The attempt takes the first grasp in score order that is
+feasible, else the first grasp; the block footprints (the scene's ground
+truth) play no part in the choice.
 
 Everything is a pure function of (seed, detector): logs are bit-identical
 across runs.
@@ -22,7 +25,7 @@ import numpy as np
 
 from .depth import DepthImage, score_grasps
 from .encoder import EncoderConfig, ideal_bundle
-from .geometry import HALF_PI, Grasp, grasp_to_record
+from .geometry import HALF_PI, Grasp, _integer, _shown, grasp_to_record
 from .grouper import GroupingThresholds, group
 
 # Extra jaw opening beyond the block extent so finger footprints land on
@@ -96,8 +99,8 @@ def make_scene(seed, n_objects):
     never reach a neighbor.
     """
     cell_px = 120
-    if n_objects < 1:
-        raise ValueError(f"need at least one object, got {n_objects}")
+    if not _integer(n_objects) or n_objects < 1:
+        raise ValueError(f"n_objects must be an integer >= 1, got {_shown(n_objects)}")
     rng = np.random.default_rng(seed)
     grid = max(3, math.ceil(math.sqrt(n_objects)))
     side = grid * cell_px
@@ -187,11 +190,18 @@ class BinPickLog:
                 "success_rate": self.success_rate, "percent_cleared": self.percent_cleared}
 
 
+def _feasible(score):
+    """The score part of the success rule: valid, collision-free, and an
+    interior more than half occupied."""
+    return score.valid and score.collision == 1.0 and score.occupancy > 0.5
+
+
 def run_bin_picking(scene, detector, model):
     """Run the sequential picking loop on ``scene`` (mutated in place).
 
     Each attempt scores the detector's first ``GroupingThresholds.max_output``
-    grasps, the default grasp cap.  Stops when (a) no blocks remain or (b)
+    grasps, the default grasp cap, and tries the first feasible one in score
+    order, else the top-scored one.  Stops when (a) no blocks remain or (b)
     the same nearest object fails five times in a row.  Returns a BinPickLog.
     """
     log = BinPickLog(seed=scene.seed, n_objects=len(scene.blocks))
@@ -203,14 +213,10 @@ def run_bin_picking(scene, detector, model):
         best = block = None
         success = False
         if grasps:
-            best, score = score_grasps(grasps, depth_image, model)[0]
+            scored = score_grasps(grasps, depth_image, model)
+            best, score = next((pair for pair in scored if _feasible(pair[1])), scored[0])
             block = scene.block_at(best.x, best.y)
-            success = (
-                score.valid
-                and score.collision == 1.0
-                and score.occupancy > 0.5
-                and block is not None
-            )
+            success = _feasible(score) and block is not None
             attempt["grasp"] = grasp_to_record(best)
             attempt["scores"] = score.to_dict()
         attempt["success"] = success

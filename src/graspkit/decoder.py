@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import PayloadError, _float32
+from .geometry import _integer, _shown
 
 TOP_K = 100  # the keypoint budget: top-k keypoints decoded per role
 
@@ -152,8 +153,8 @@ def _keypoint_arrays(heatmaps, embeddings, offsets, k, ratio, suppress=True):
     """One role's top-k keypoints, best first, as arrays ``(x, y, class, score,
     embedding)``: class int, the rest float64 (widened as ``tolist()`` widens).
     A selected keypoint's non-finite offset or embedding raises PayloadError."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not _integer(k) or k < 1:
+        raise ValueError(f"k must be >= 1, got {_shown(k)}")
     stack, offsets, embeddings = (_float32(a) for a in (heatmaps, offsets, embeddings))
     if stack.ndim == 2:
         stack = stack[None]
@@ -180,8 +181,10 @@ def select_grasp_keypoints(heatmaps, embeddings, offsets, k, ratio, role="left",
     """Top-k keypoints of one role; shorter list when fewer pixels score > 0.
 
     ``suppress=False`` ranks raw pixels, without the 3x3 suppression that
-    :func:`decode_bundle` always applies.
+    :func:`decode_bundle` always applies.  ``ratio`` must be an integer >= 1.
     """
+    if not _integer(ratio) or ratio < 1:
+        raise ValueError(f"ratio must be an integer >= 1, got {_shown(ratio)}")
     return _detected(_keypoint_arrays(heatmaps, embeddings, offsets, k, ratio, suppress), role)
 
 

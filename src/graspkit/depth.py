@@ -59,11 +59,14 @@ class DepthImage:
 
     @classmethod
     def flat_surface(cls, depth, surface_mm):
-        """A depth image over a constant surface at ``surface_mm``.
+        """A depth image over a constant surface at ``surface_mm``, a finite
+        real number > 0 (else ValueError).
 
         The surface plane is shared and read-only: images of one shape and
         level hold the same array, so copy it to change it.
         """
+        if not (_finite_number(surface_mm) and surface_mm > 0):
+            raise ValueError(f"surface level must be finite, strictly positive, got {_shown(surface_mm)}")
         return cls(depth, _flat_plane(np.shape(depth), float(surface_mm)))
 
     @property
@@ -273,14 +276,17 @@ def read_depth_gktb(src, surface_mm=None):
     depth = by_name["depth"][0]
     if "surface" in by_name:
         return DepthImage(depth, by_name["surface"][0])
-    level = float(surface_mm) if surface_mm is not None else float(depth.max())
-    return DepthImage.flat_surface(depth, level)
+    return DepthImage.flat_surface(depth, surface_mm if surface_mm is not None else float(depth.max()))
 
 
 def select_dynamic(previous, candidates, tau_close=30.0):
     """Track a moving target: pick the candidate closest to the previous
     grasp center if that distance is below tau_close, else keep the
-    previous grasp (the object is presumed occluded)."""
+    previous grasp (the object is presumed occluded).  ``tau_close`` must be
+    a finite real number >= 0."""
+    if not (_finite_number(tau_close) and tau_close >= 0):
+        raise ValueError(f"tau_close must be a finite number >= 0, got {_shown(tau_close)}")
+
     def distance(cand):
         return math.hypot(cand.x - previous.x, cand.y - previous.y)
 

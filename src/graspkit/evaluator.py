@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import _finite_number, _rotated_ious, _shown, angle_diff, rect_from_grasp
+from .geometry import _finite_number, _integer, _rotated_ious, _shown, angle_diff, rect_from_grasp
 from .geometry import rotated_iou  # noqa: F401  (bench/spans.py traces it under this module)
 
 
@@ -68,10 +68,8 @@ class EvalReport:
 
 
 def is_match(pred, truth, criteria):
-    """True iff angle within tolerance and rotated IoU above the threshold
-    (the rule of ``_image_stats``; a pair failing the angle skips the IoU)."""
-    if angle_diff(pred.theta, truth.theta) > criteria.max_angle_diff:
-        return False
+    """True iff angle within tolerance and rotated IoU above the threshold:
+    ``_image_stats`` on the one pair."""
     return _image_stats([pred], [truth], criteria)[0]
 
 
@@ -179,12 +177,12 @@ def measure_fps(pipeline, inputs, warmup=5, timed=50, repeats=3):
     Runs at least 5 warm-up and 50 timed calls per repetition, cycling the
     input list, and reports timed count / wall-clock seconds.
     """
-    if warmup < 5:
-        raise ValueError(f"need >= 5 warm-up runs, got {warmup}")
-    if timed < 50:
-        raise ValueError(f"need >= 50 timed runs, got {timed}")
-    if repeats < 1:
-        raise ValueError(f"need >= 1 repetition, got {repeats}")
+    if not _integer(warmup) or warmup < 5:
+        raise ValueError(f"need >= 5 warm-up runs, got {_shown(warmup)}")
+    if not _integer(timed) or timed < 50:
+        raise ValueError(f"need >= 50 timed runs, got {_shown(timed)}")
+    if not _integer(repeats) or repeats < 1:
+        raise ValueError(f"need >= 1 repetition, got {_shown(repeats)}")
     inputs = list(inputs)
     if not inputs:
         raise ValueError("no inputs to time")

@@ -148,9 +148,19 @@ def grasp_to_pair(g):
 def class_to_angle(c, num_classes):
     """Representative angle of orientation class c: pi*c/|C| - pi/2.
 
-    Works on an integer or an integer array; a class outside
+    Works on an integer or an integer array; ``num_classes`` must be an
+    integer >= 1 and ``c`` integers (else ValueError), and a class outside
     [0, num_classes) raises IndexError.
     """
+    if not _integer(num_classes) or num_classes < 1:
+        raise ValueError(f"num_classes must be an integer >= 1, got {_shown(num_classes)}")
+    if not (_integer(c) or np.asarray(c).dtype.kind in "iu"):
+        raise ValueError(f"class indices must be integers, got {_shown(c)}")
+    return _class_angle(c, num_classes)
+
+
+def _class_angle(c, num_classes):
+    """:func:`class_to_angle` without its type checks, for the grouper."""
     cls = np.asarray(c)
     if np.any((cls < 0) | (cls >= num_classes)):
         raise IndexError(f"class {c} out of range for {num_classes} classes")
@@ -162,7 +172,10 @@ def angle_to_class(theta, num_classes):
 
     Any finite angle is first reduced modulo pi into (-pi/2, pi/2].  Exact
     ties between two representatives break to the smaller class index.
+    ``num_classes`` must be an integer >= 1.
     """
+    if not _integer(num_classes) or num_classes < 1:
+        raise ValueError(f"num_classes must be an integer >= 1, got {_shown(num_classes)}")
     t = wrap_angle(theta)
     u = (t + HALF_PI) * num_classes / math.pi  # continuous class position in (0, n]
     if u >= num_classes - 0.5:
@@ -357,7 +370,7 @@ def rotated_iou(a, b):
 
 def _integer(value):
     """True for an integer, numpy's included, that is not a ``bool``."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def _finite_number(value):

@@ -20,7 +20,7 @@ import numpy as np
 from .bundle import _float32
 from .decoder import TOP_K, DetectedKeypoint, _decode, _detected
 from .decoder import decode_bundle  # noqa: F401  (bench/spans.py traces it under this module)
-from .geometry import _center_form, _finite_number, _integer, _shown, angle_diff, class_to_angle, wrap_angle
+from .geometry import _center_form, _class_angle, _finite_number, _integer, _shown, angle_diff, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,10 @@ def extract_center_scores(left_kps, right_kps, center_map, ratio):
 
     Returns a (len(left), len(right)) matrix; the lookup pixel is the
     nearest heatmap pixel to the pair midpoint, clamped to map bounds.
+    ``ratio`` must be an integer >= 1.
     """
+    if not _integer(ratio) or ratio < 1:
+        raise ValueError(f"ratio must be an integer >= 1, got {_shown(ratio)}")
     li, ri = np.arange(len(left_kps))[:, None], np.arange(len(right_kps))[None, :]
     return _center_scores(_kp_arrays(left_kps), _kp_arrays(right_kps), li, ri, center_map, ratio)
 
@@ -100,7 +103,7 @@ def _passing(left, right, thresholds, num_classes, center_scores):
     ok = scores > thresholds.rho_cen
     li, ri, scores = li[ok], ri[ok], scores[ok]
     theta_cont = wrap_angle(np.arctan2(ry[ri] - ly[li], rx[ri] - lx[li]))
-    return li, ri, lcls[li], scores, class_to_angle(lcls[li], num_classes), theta_cont
+    return li, ri, lcls[li], scores, _class_angle(lcls[li], num_classes), theta_cont
 
 
 def _candidates(lkps, rkps, *arrays):

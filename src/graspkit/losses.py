@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import _finite_number, _shown
+from .geometry import _finite_number, _integer, _shown
 
 LOG_EPS = 1e-12
 
@@ -59,8 +59,8 @@ def detection_loss(pred, truth, n_grasps):
     truth = np.asarray(truth, dtype=float)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
-    if n_grasps < 0:
-        raise ValueError(f"negative grasp count {n_grasps}")
+    if not _integer(n_grasps) or n_grasps < 0:
+        raise ValueError(f"non-integer or negative grasp count {_shown(n_grasps)}")
     n = max(int(n_grasps), 1)
 
     inside = (pred > LOG_EPS) & (pred < 1.0 - LOG_EPS)
@@ -114,8 +114,8 @@ def ground_truth_offset(pixel, ratio):
     i, j = pixel
     if i < 0 or j < 0:
         raise ValueError(f"negative pixel {pixel}")
-    if ratio < 1:
-        raise ValueError(f"downsample ratio must be >= 1, got {ratio}")
+    if not _integer(ratio) or ratio < 1:
+        raise ValueError(f"downsample ratio must be >= 1 and an integer, got {_shown(ratio)}")
     return (i / ratio - math.floor(i / ratio), j / ratio - math.floor(j / ratio))
 
 

@@ -23,6 +23,7 @@ from graspkit import (
     run_bin_picking,
     score_grasps,
 )
+from graspkit.geometry import grasp_to_record
 
 MODEL = GripperModel2D()
 
@@ -280,3 +281,55 @@ def test_a_bad_surface_or_block_raises_on_every_render(surface, height):
     for _ in range(3):
         with pytest.raises(ValueError, match="finite, strictly positive"):
             scene.render()
+
+
+def _scene_on_cells(seed, n_objects, cell_px):
+    """make_scene's rule with ``cell_px`` cells in place of its 120 px ones."""
+    rng = np.random.default_rng(seed)
+    grid = max(3, math.ceil(math.sqrt(n_objects)))
+    cells = rng.permutation(grid * grid)[:n_objects]
+    blocks = []
+    for bid, cell in enumerate(sorted(int(c) for c in cells)):
+        crow, ccol = divmod(cell, grid)
+        cy = crow * cell_px + cell_px // 2 + int(rng.integers(-6, 7))
+        cx = ccol * cell_px + cell_px // 2 + int(rng.integers(-6, 7))
+        size_x, size_y = 2 * int(rng.integers(14, 23)), 2 * int(rng.integers(14, 23))
+        height = float(rng.uniform(20.0, 60.0))
+        blocks.append(Block(bid, cx - size_x // 2, cy - size_y // 2, size_x, size_y, height))
+    return SyntheticScene(seed, grid * cell_px, grid * cell_px, 1000.0, blocks)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_cell_scene_helper_is_make_scenes_rule(seed):
+    assert _scene_on_cells(seed, 25, 120) == make_scene(seed, 25)
+
+
+@pytest.mark.parametrize("cell_px, seed", [(96, 1), (80, 0)])
+def test_feasible_first_clears_a_scene_whose_top_grasp_grazes_a_neighbour(cell_px, seed):
+    # The plain-sum ranking puts a grasp whose finger grazes a taller
+    # neighbour first (collision < 1): attempting it cleared 15 of 25 blocks
+    # in 20 attempts on 96 px cells, seed 1, and 12 of 25 in 17 on 80 px
+    # cells, seed 0.
+    scene = _scene_on_cells(seed, 25, cell_px)
+    log = run_bin_picking(scene, oracle_detector(scene), MODEL)
+    assert (log.cleared, len(log.attempts)) == (25, 25)
+    assert not scene.blocks
+
+
+def test_an_attempt_takes_the_first_feasible_grasp_else_the_top_one():
+    block = Block(0, 40, 40, 20, 20, 30.0)
+    crushing = Grasp(50.0, 50.0, 0.0, 8.0)  # fingers on the block: collision 0.84, total 1.87
+    clear = Grasp(50.0, 50.0, 0.0, 32.0)  # collision 1, occupancy 0.65, total 1.68
+    off_block = Grasp(20.0, 20.0, 0.0, 32.0)  # total 0
+    scene = _scene(block)
+    ranked = [g for g, _ in score_grasps([off_block, clear, crushing], scene.render(), MODEL)]
+    assert ranked == [crushing, clear, off_block]
+    log = run_bin_picking(scene, lambda _: [off_block, clear, crushing], MODEL)
+    assert log.to_dict()["attempts"] == [
+        {"attempt": 1, "grasp": grasp_to_record(clear), "scores": log.attempts[0]["scores"],
+         "success": True, "block": 0}]
+    assert log.attempts[0]["scores"]["collision"] == 1.0
+    scene = _scene(block)  # nothing feasible: the top-scored grasp, five times
+    log = run_bin_picking(scene, lambda _: [off_block, crushing], MODEL)
+    assert [a["grasp"] for a in log.attempts] == [grasp_to_record(crushing)] * 5
+    assert log.cleared == 0

@@ -485,3 +485,14 @@ def test_depth_file_without_a_depth_plane_raises_header_error():
     buf.seek(0)
     with pytest.raises(HeaderError, match=r"no 'depth' plane in file \(found \['surface'\]\)"):
         read_depth_gktb(buf)
+
+
+def test_height_score_rejects_a_surface_set_to_zero_after_the_image_is_built():
+    image = DepthImage(np.full((10, 10), 960.0), np.full((10, 10), 1000.0))
+    g = Grasp(5.0, 5.0, 0.0, 4.0)
+    assert height_score(g, image) == pytest.approx(0.04)
+    image.surface[5, 5] = 0.0
+    with pytest.raises(ValueError, match="surface depth at center must be positive, got 0.0"):
+        height_score(g, image)
+    with pytest.raises(ValueError, match="surface depth at center must be positive"):
+        score_grasp(g, image, MODEL)

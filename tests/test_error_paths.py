@@ -41,6 +41,17 @@ from graspkit import (
     write_annotations,
     write_gktb,
 )
+from graspkit import (
+    angle_to_class,
+    class_to_angle,
+    decode_bundle,
+    extract_center_scores,
+    group,
+    group_candidates,
+    select_dynamic,
+    select_grasp_keypoints,
+)
+from graspkit.checks import run_gradcheck_battery
 from graspkit.geometry import grasp_from_record
 from helpers import random_bundle
 
@@ -318,3 +329,128 @@ def test_an_integer_too_long_to_print_raises_the_settings_own_message(setting):
 def test_an_integer_too_long_to_print_is_named_by_its_bit_count(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(10**5000)
+
+
+# every integer setting (geometry._integer)
+
+
+def _keypoints(k=3, ratio=4):
+    rng = np.random.default_rng(2)
+    heat = rng.random((2, 5, 5), dtype=np.float32)
+    return select_grasp_keypoints(heat, np.zeros((5, 5)), np.zeros((2, 5, 5)), k, ratio)
+
+
+_BUNDLE = random_bundle(np.random.default_rng(3))
+_TH = GroupingThresholds(1.0, 0.05, 0.24)
+
+
+def _encoder(name):
+    return lambda v: EncoderConfig(**{"image_height": 64, "image_width": 64, "num_classes": 18, name: v})
+
+
+# Each setting: a builder that puts the value in that field, all others
+# valid, and a valid value of the field.
+_INTEGER_SETTINGS = {
+    "decode_bundle.k": (lambda v: decode_bundle(_BUNDLE, k=v), 5),
+    "group.k": (lambda v: group(_BUNDLE, _TH, k=v), 5),
+    "group_candidates.k": (lambda v: group_candidates(_BUNDLE, _TH, k=v), 5),
+    "select_grasp_keypoints.k": (lambda v: _keypoints(k=v), 3),
+    "select_grasp_keypoints.ratio": (lambda v: _keypoints(ratio=v), 4),
+    "extract_center_scores.ratio": (lambda v: extract_center_scores([], [], np.zeros((4, 4)), v), 4),
+    "make_scene.n_objects": (lambda v: make_scene(0, v), 2),
+    "run_gradcheck_battery.points": (lambda v: run_gradcheck_battery(points=v), 1),
+    "measure_fps.warmup": (lambda v: measure_fps(len, ["x"], warmup=v, repeats=1), 5),
+    "measure_fps.timed": (lambda v: measure_fps(len, ["x"], timed=v, repeats=1), 50),
+    "measure_fps.repeats": (lambda v: measure_fps(len, ["x"], repeats=v), 1),
+    "detection_loss.n_grasps": (lambda v: detection_loss(np.full((2, 3), 0.5), np.zeros((2, 3)), v), 2),
+    "ground_truth_offset.ratio": (lambda v: ground_truth_offset((5, 7), v), 4),
+    "angle_to_class.num_classes": (lambda v: angle_to_class(0.3, v), 18),
+    "class_to_angle.num_classes": (lambda v: class_to_angle(2, v), 18),
+    "class_to_angle.c": (lambda v: class_to_angle(v, 18), 3),
+    "EncoderConfig.image_height": (_encoder("image_height"), 64),
+    "EncoderConfig.downsample_ratio": (_encoder("downsample_ratio"), 4),
+    "GroupingThresholds.max_output": (lambda v: GroupingThresholds(1.0, 0.05, 0.24, max_output=v), 10),
+}
+_NOT_INTEGER = {"bool": True, "float": 2.5, "str": "3", "None": None}
+
+
+@pytest.mark.parametrize("case", [*_NOT_INTEGER, "numpy"])
+@pytest.mark.parametrize("setting", list(_INTEGER_SETTINGS))
+def test_an_integer_setting_takes_an_integer_only(setting, case):
+    build, valid = _INTEGER_SETTINGS[setting]
+    if case == "numpy":  # numpy's int64 form of a valid value
+        build(np.int64(valid))
+    else:  # a ValueError, never a TypeError
+        with pytest.raises(ValueError):
+            build(_NOT_INTEGER[case])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _keypoints(ratio=0), "ratio must be an integer >= 1, got 0"),
+    (lambda: _keypoints(ratio=math.nan), "ratio must be an integer >= 1, got nan"),
+    (lambda: extract_center_scores([], [], np.zeros((4, 4)), 0), "ratio must be an integer >= 1, got 0"),
+    (lambda: angle_to_class(0.3, 0), "num_classes must be an integer >= 1, got 0"),
+    (lambda: class_to_angle(2, 0), "num_classes must be an integer >= 1, got 0"),
+    (lambda: class_to_angle(2.5, 18), "class indices must be integers, got 2.5"),
+    (lambda: class_to_angle(np.array([1.0, 2.0]), 18), r"class indices must be integers, got array\(\[1., 2.\]\)"),
+    (lambda: make_scene(0, 0), "n_objects must be an integer >= 1, got 0"),
+    (lambda: group(_BUNDLE, _TH, k=2.5), "k must be >= 1, got 2.5"),
+], ids=["keypoint-ratio-0", "keypoint-ratio-nan", "center-ratio-0", "angle_to_class-0", "class_to_angle-0",
+        "class-2.5", "class-float-array", "make_scene-0", "group-k-2.5"])
+def test_a_count_that_gave_a_wrong_result_raises_its_own_message(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_class_to_angle_still_takes_integer_arrays_and_rejects_out_of_range_classes():
+    assert class_to_angle(np.array([0, 9], dtype=np.uint8), 18).tolist() == [-math.pi / 2, 0.0]
+    with pytest.raises(IndexError, match="out of range"):
+        class_to_angle(np.array([0, 18]), 18)
+
+
+# the real settings of dynamic selection and flat surfaces
+
+
+def _flat(v):
+    return DepthImage.flat_surface(np.full((4, 5), 900.0), v)
+
+
+def _depth_file(v):
+    buf = io.BytesIO()
+    write_gktb(buf, [("depth", np.full((1, 4, 5), 900.0))], num_classes=0, downsample_ratio=1)
+    buf.seek(0)
+    return read_depth_gktb(buf, surface_mm=v)
+
+
+_PREV = Grasp(100.0, 100.0, 0.0, 30.0)
+_MORE_REAL_SETTINGS = {
+    "select_dynamic.tau_close": (lambda v: select_dynamic(_PREV, [Grasp(103.0, 100.0, 0.0, 30.0)], v), 5),
+    "DepthImage.flat_surface": (_flat, 1000),
+    "read_depth_gktb.surface_mm": (_depth_file, 1000),
+}
+
+
+@pytest.mark.parametrize("case", [*_NOT_REAL, "numpy", "out-of-range"])
+@pytest.mark.parametrize("setting", list(_MORE_REAL_SETTINGS))
+def test_dynamic_and_surface_settings_take_a_finite_real_number_only(setting, case):
+    build, valid = _MORE_REAL_SETTINGS[setting]
+    if case == "numpy":
+        for value in (np.float32(valid), np.int64(valid)):
+            build(value)
+    elif case == "None" and setting == "read_depth_gktb.surface_mm":  # the deepest pixel then
+        assert np.all(build(None).surface == np.float32(900.0))
+    elif case == "out-of-range":  # tau_close below 0; a surface at 0
+        with pytest.raises(ValueError, match="must be a finite number >= 0|finite, strictly positive"):
+            build(-1 if setting == "select_dynamic.tau_close" else 0)
+    else:  # a ValueError, never a TypeError or an OverflowError
+        with pytest.raises(ValueError):
+            build(_NOT_REAL[case])
+
+
+def test_tau_close_still_selects_and_a_surface_message_names_the_value():
+    assert select_dynamic(_PREV, [Grasp(103.0, 100.0, 0.0, 30.0)], np.float64(5.0)).x == 103.0
+    assert select_dynamic(_PREV, [Grasp(103.0, 100.0, 0.0, 30.0)], 0) is _PREV
+    with pytest.raises(ValueError, match="^surface level must be finite, strictly positive, got '900'$"):
+        _flat("900")
+    with pytest.raises(ValueError, match="^tau_close must be a finite number >= 0, got '5'$"):
+        select_dynamic(_PREV, [], "5")

@@ -354,3 +354,36 @@ def test_eval_report_json_keeps_its_key_order():
 def test_criteria_rejects_an_eval_height_that_is_not_finite_and_positive(height):
     with pytest.raises(ValueError, match="eval_height"):
         MatchCriteria(eval_height=height)
+
+
+_grasps = st.builds(
+    Grasp,
+    x=st.floats(0.0, 200.0), y=st.floats(0.0, 200.0),
+    theta=st.floats(-math.pi / 2, math.pi / 2, exclude_min=True),
+    w=st.floats(0.5, 120.0), h=st.none() | st.floats(0.5, 60.0),
+)
+_criteria = st.builds(
+    MatchCriteria,
+    max_angle_diff=st.floats(0.0, math.pi / 2, exclude_min=True),
+    min_jaccard=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    eval_height=st.floats(0.5, 60.0),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pred=_grasps, truth=_grasps, near=st.booleans(), criteria=_criteria)
+def test_is_match_is_the_dataset_metric_on_one_pair(pred, truth, near, criteria):
+    if near:  # most random pairs are far apart; half of the draws share a center
+        truth = Grasp(pred.x, pred.y, truth.theta, truth.w, truth.h)
+    report = evaluate_dataset({"i": [pred]}, {"i": [truth]}, criteria)
+    assert is_match(pred, truth, criteria) == (report.correct == 1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_angle_failing_pair_whose_areas_overflow_raises_as_the_dataset_metric_does():
+    truth = Grasp(50.0, 50.0, 0.0, 20.0, 10.0)
+    pred = Grasp(50.0, 50.0, 1.2, 1e308)  # 69 deg off, infinite rectangle area
+    with pytest.raises(ValueError, match="areas overflow"):
+        is_match(pred, truth, CORNELL_CRIT)
+    with pytest.raises(ValueError, match="areas overflow"):
+        evaluate_dataset({"a": [pred]}, {"a": [truth]}, CORNELL_CRIT)
