@@ -25,7 +25,7 @@ import numpy as np
 
 from .depth import DepthImage, score_grasps
 from .encoder import EncoderConfig, ideal_bundle
-from .geometry import HALF_PI, Grasp, _integer, _shown, grasp_to_record
+from .geometry import HALF_PI, Grasp, _require_count, grasp_to_record
 from .grouper import GroupingThresholds, group
 
 # Extra jaw opening beyond the block extent so finger footprints land on
@@ -99,8 +99,7 @@ def make_scene(seed, n_objects):
     never reach a neighbor.
     """
     cell_px = 120
-    if not _integer(n_objects) or n_objects < 1:
-        raise ValueError(f"n_objects must be an integer >= 1, got {_shown(n_objects)}")
+    _require_count("n_objects", n_objects)
     rng = np.random.default_rng(seed)
     grid = max(3, math.ceil(math.sqrt(n_objects)))
     side = grid * cell_px

@@ -297,7 +297,7 @@ def main(argv=None):
     except _UsageError as exc:  # from argparse, or from an option a command parses itself
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

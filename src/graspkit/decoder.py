@@ -17,8 +17,8 @@ candidate set scores below every candidate, so when the candidates hold at
 least k peaks, those k are the top k of the whole stack.  When they hold
 fewer, or when ties make them too many to test for less than a whole-stack
 suppression (a plateau), the whole stack is suppressed instead.  A strided
-sample of the positive scores shows such a plateau before any partition,
-and gives the partition that finds the (4k)-th score a lower bound.
+sample of the positive scores bounds the (4k)-th score from below; when more
+pixels reach that bound than can be tested, no partition runs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundle import PayloadError, _float32
-from .geometry import _integer, _shown
+from .geometry import _integer, _require_count, _shown
 
 TOP_K = 100  # the keypoint budget: top-k keypoints decoded per role
 
@@ -97,7 +97,7 @@ def _peaks_among(flat, cand, h, w):
 # Candidates per top-k slot, the share of a stack beyond which testing
 # candidates costs more than suppressing the whole stack (testing one
 # candidate costs about as much as suppressing eight pixels), and the size
-# of the sample that estimates the candidate count.
+# of the sample that bounds the partition.
 _CANDIDATES_PER_K = 4
 _MAX_CANDIDATE_SHARE = 8
 _SAMPLE = 1024
@@ -105,24 +105,21 @@ _SAMPLE = 1024
 
 def _high_candidates(flat, positive, n_positive, k, bound):
     """Flat indices of the pixels scoring at least the (4k)-th highest
-    positive score, or None when they number more than ``bound``."""
+    positive score, or None when more than ``bound`` pixels reach it or reach
+    a sampled lower bound."""
     n_high = _CANDIDATES_PER_K * k
     if n_positive <= n_high:
         return None
-    # A threshold on a plateau makes the candidates too many, and equal values
-    # slow np.partition down, so a strided sample of the positive scores
-    # estimates their count first, ties included.  Every route is exact: the
-    # estimate decides only speed.
+    # The partition runs on the pixels scoring at least a sampled positive
+    # score about twice as far down as the threshold, so below it as a rule.
+    # More such pixels than ``bound`` (a plateau) end the search before any
+    # partition; fewer than 4k widen it to all positives.
     values = flat if n_positive == flat.size else flat[positive]
     sample = np.sort(values[:: max(1, n_positive // _SAMPLE)])
     above = sample.size * n_high // n_positive  # sampled values above the threshold
-    high_in_sample = sample.size - np.searchsorted(sample, sample[-1 - above])
-    if high_in_sample * n_positive > bound * sample.size:
-        return None
-    # The partition runs on the pixels scoring at least a sampled value about
-    # twice as far down, which lies below the threshold as a rule; when fewer
-    # than 4k pixels reach it, on all positives.
     pixels = np.flatnonzero(flat >= sample[max(0, sample.size - 2 * above - 8)])
+    if pixels.size > bound:
+        return None
     if pixels.size < n_high:
         pixels = np.flatnonzero(positive)
     scores = flat[pixels]
@@ -183,8 +180,7 @@ def select_grasp_keypoints(heatmaps, embeddings, offsets, k, ratio, role="left",
     ``suppress=False`` ranks raw pixels, without the 3x3 suppression that
     :func:`decode_bundle` always applies.  ``ratio`` must be an integer >= 1.
     """
-    if not _integer(ratio) or ratio < 1:
-        raise ValueError(f"ratio must be an integer >= 1, got {_shown(ratio)}")
+    _require_count("ratio", ratio)
     return _detected(_keypoint_arrays(heatmaps, embeddings, offsets, k, ratio, suppress), role)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bundle import _PLANE_COUNTS, HeatmapBundle, _plane_shape
 from .decoder import TOP_K
-from .geometry import _integer, _shown, angle_to_class, grasp_to_pair
+from .geometry import _require_count, angle_to_class, grasp_to_pair
 from .losses import ground_truth_offset
 
 # largest float32 strictly below 1.0; keeps stored offsets inside [0, 1)
@@ -54,9 +54,7 @@ class EncoderConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not _integer(value) or value < 1:
-                raise ValueError(f"{f.name} must be an integer >= 1, got {_shown(value)}")
+            _require_count(f.name, getattr(self, f.name))
 
     @property
     def heatmap_shape(self):

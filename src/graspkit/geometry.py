@@ -152,8 +152,7 @@ def class_to_angle(c, num_classes):
     integer >= 1 and ``c`` integers (else ValueError), and a class outside
     [0, num_classes) raises IndexError.
     """
-    if not _integer(num_classes) or num_classes < 1:
-        raise ValueError(f"num_classes must be an integer >= 1, got {_shown(num_classes)}")
+    _require_count("num_classes", num_classes)
     if not (_integer(c) or np.asarray(c).dtype.kind in "iu"):
         raise ValueError(f"class indices must be integers, got {_shown(c)}")
     return _class_angle(c, num_classes)
@@ -174,8 +173,7 @@ def angle_to_class(theta, num_classes):
     ties between two representatives break to the smaller class index.
     ``num_classes`` must be an integer >= 1.
     """
-    if not _integer(num_classes) or num_classes < 1:
-        raise ValueError(f"num_classes must be an integer >= 1, got {_shown(num_classes)}")
+    _require_count("num_classes", num_classes)
     t = wrap_angle(theta)
     u = (t + HALF_PI) * num_classes / math.pi  # continuous class position in (0, n]
     if u >= num_classes - 0.5:
@@ -371,6 +369,12 @@ def rotated_iou(a, b):
 def _integer(value):
     """True for an integer, numpy's included, that is not a ``bool``."""
     return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
+def _require_count(name, value):
+    """Raise ValueError unless ``value`` is an integer >= 1 (see :func:`_integer`)."""
+    if not _integer(value) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {_shown(value)}")
 
 
 def _finite_number(value):

@@ -20,7 +20,7 @@ import numpy as np
 from .bundle import _float32
 from .decoder import TOP_K, DetectedKeypoint, _decode, _detected
 from .decoder import decode_bundle  # noqa: F401  (bench/spans.py traces it under this module)
-from .geometry import _center_form, _class_angle, _finite_number, _integer, _shown, angle_diff, wrap_angle
+from .geometry import _center_form, _class_angle, _finite_number, _require_count, _shown, angle_diff, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,7 @@ class GroupingThresholds:
     def __post_init__(self):
         if not all(_finite_number(v) and v >= 0 for v in (self.rho_embed, self.rho_cen, self.tau_orient)):
             raise ValueError("thresholds must be finite nonnegative numbers, not NaN or a bool")
-        if not _integer(self.max_output) or self.max_output < 1:
-            raise ValueError(f"max_output must be an integer >= 1, got {_shown(self.max_output)}")
+        _require_count("max_output", self.max_output)
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,7 @@ def extract_center_scores(left_kps, right_kps, center_map, ratio):
     nearest heatmap pixel to the pair midpoint, clamped to map bounds.
     ``ratio`` must be an integer >= 1.
     """
-    if not _integer(ratio) or ratio < 1:
-        raise ValueError(f"ratio must be an integer >= 1, got {_shown(ratio)}")
+    _require_count("ratio", ratio)
     li, ri = np.arange(len(left_kps))[:, None], np.arange(len(right_kps))[None, :]
     return _center_scores(_kp_arrays(left_kps), _kp_arrays(right_kps), li, ri, center_map, ratio)
 
@@ -118,8 +116,9 @@ def filter_pairs(left_kps, right_kps, center_scores, thresholds, num_classes):
     All three comparisons are strict; a pair sitting exactly on a threshold
     is removed.  Ordering (left before right lexicographically by (x, y))
     keeps each geometric pair unique even when both roles fire on the same
-    physical point.
+    physical point.  ``num_classes`` must be an integer >= 1.
     """
+    _require_count("num_classes", num_classes)
     if not left_kps or not right_kps:
         return []
     scores = np.asarray(center_scores, dtype=float)
@@ -134,8 +133,11 @@ def orientation_filter(candidates, tau_orient, num_classes):
 
     The distance wraps modulo pi, so -89 deg and +89 deg differ by 2 deg.
     Each candidate's own ``theta_discrete`` is used; ``num_classes`` is not
-    needed and is accepted for call compatibility.
+    needed and is accepted for call compatibility.  ``tau_orient`` must be
+    a finite number >= 0.
     """
+    if not (_finite_number(tau_orient) and tau_orient >= 0):
+        raise ValueError(f"tau_orient must be a finite number >= 0, got {_shown(tau_orient)}")
     disc = np.array([c.theta_discrete for c in candidates], dtype=float)
     cont = np.array([c.theta_continuous for c in candidates], dtype=float)
     keep = angle_diff(disc, cont) <= tau_orient

@@ -748,3 +748,14 @@ def test_contract_hostile_option_values(contract_dirs, cmd, option, value):
 def test_contract_damaged_files(contract_dirs, cmd, path, how):
     _damage(Path(path.format(**contract_dirs)), how)
     _run_contract_case(cmd, contract_dirs)
+
+
+def test_a_key_error_inside_a_command_propagates(monkeypatch, annotations):
+    # no input raises KeyError, so one is a library fault and is not turned
+    # into an "error:" line and exit code 2
+    def missing(name):
+        raise KeyError(name)
+
+    monkeypatch.setattr("graspkit.cli.get_profile", missing)
+    with pytest.raises(KeyError, match="cornell"):
+        main(["evaluate", "--pred", str(annotations), "--truth", str(annotations), "--profile", "cornell"])

@@ -383,3 +383,22 @@ def test_select_float64_beyond_float32_without_warning(plane):
     else:
         with pytest.raises(decoder.PayloadError, match="non-finite offset or embedding"):
             select_grasp_keypoints(heat, emb, off, 3, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_high_candidates_are_the_pixels_reaching_the_4k_th_positive_score(data):
+    # ties, non-positive values and NaN mixed into stacks large enough that
+    # the (4k)-th score and the candidate bound both matter
+    values = st.one_of(
+        st.sampled_from([0.0, -1.0, 0.25, 0.5, 0.75, np.inf, np.nan]),
+        st.floats(0.0, 1.0, width=32),
+    )
+    flat = data.draw(hnp.arrays(np.float32, st.integers(256, 4096), elements=values))
+    k = data.draw(st.integers(1, max(1, flat.size // 64)))
+    positive = flat > 0
+    n_positive = np.count_nonzero(positive)
+    high = decoder._high_candidates(flat, positive, n_positive, k, flat.size // 8)
+    if high is not None:
+        t = np.sort(flat[positive])[-4 * k]
+        assert np.array_equal(high, np.flatnonzero(flat >= t))

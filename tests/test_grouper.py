@@ -1,6 +1,7 @@
 """Pairing conditions, orientation filter and the end-to-end grouping loop."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -452,3 +453,41 @@ def test_thresholds_reject_a_grasp_cap_that_is_not_an_integer(max_output):
     with pytest.raises(ValueError, match=f"^max_output must be an integer >= 1, got {max_output!r}"):
         GroupingThresholds(1.0, 0.05, 0.24, max_output=max_output)
     assert GroupingThresholds(1.0, 0.05, 0.24, max_output=np.int64(4)).max_output == 4
+
+
+@pytest.mark.parametrize("num_classes, shown", [
+    (2.5, "2.5"), (0, "0"), (-1, "-1"), (True, "True"), ("18", "'18'"), (None, "None"),
+    pytest.param(-(10**5000), "a negative integer of 16610 bits", id="-10**5000"),
+])
+def test_filter_pairs_rejects_a_class_count_that_is_not_an_integer_of_at_least_one(num_classes, shown):
+    left, right = [kp(10, 10, cls=0)], [kp(30, 10, cls=0, role="right")]
+    message = f"^{re.escape(f'num_classes must be an integer >= 1, got {shown}')}$"
+    for lkps, rkps in ((left, right), ([], []), (left, [])):
+        with pytest.raises(ValueError, match=message):
+            filter_pairs(lkps, rkps, np.ones((len(lkps), len(rkps))), CORNELL.thresholds, num_classes)
+
+
+def test_filter_pairs_accepts_a_numpy_integer_class_count():
+    left, right = [kp(10, 10, cls=9)], [kp(30, 10, cls=9, role="right")]
+    got = filter_pairs(left, right, np.ones((1, 1)), CORNELL.thresholds, np.int64(18))
+    assert got == filter_pairs(left, right, np.ones((1, 1)), CORNELL.thresholds, 18)
+    assert len(got) == 1
+
+
+@pytest.mark.parametrize("tau_orient, shown", [
+    (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (-1.0, "-1.0"), (True, "True"), ("5", "'5'"),
+    (None, "None"), pytest.param(10**400, "an integer of 1329 bits", id="10**400"),
+])
+def test_orientation_filter_rejects_a_tolerance_that_is_not_a_finite_number_of_at_least_zero(tau_orient, shown):
+    cands = filter_pairs([kp(10, 10, cls=9)], [kp(30, 10, cls=9, role="right")], np.ones((1, 1)),
+                         CORNELL.thresholds, 18)
+    message = f"^{re.escape(f'tau_orient must be a finite number >= 0, got {shown}')}$"
+    for candidates in (cands, []):
+        with pytest.raises(ValueError, match=message):
+            orientation_filter(candidates, tau_orient, 18)
+
+
+def test_orientation_filter_accepts_a_numpy_float_tolerance():
+    cands = filter_pairs([kp(10, 10, cls=9)], [kp(30, 10, cls=9, role="right")], np.ones((1, 1)),
+                         CORNELL.thresholds, 18)
+    assert orientation_filter(cands, np.float32(0.24), 18) == orientation_filter(cands, 0.24, 18) == cands
