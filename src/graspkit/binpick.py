@@ -25,7 +25,7 @@ import numpy as np
 
 from .depth import DepthImage, score_grasps
 from .encoder import EncoderConfig, ideal_bundle
-from .geometry import HALF_PI, Grasp, _require_count, grasp_to_record
+from .geometry import HALF_PI, Grasp, _require_count, _rng, grasp_to_record
 from .grouper import GroupingThresholds, group
 
 # Extra jaw opening beyond the block extent so finger footprints land on
@@ -100,7 +100,7 @@ def make_scene(seed, n_objects):
     """
     cell_px = 120
     _require_count("n_objects", n_objects)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     grid = max(3, math.ceil(math.sqrt(n_objects)))
     side = grid * cell_px
     cells = rng.permutation(grid * grid)[:n_objects]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _integer
+from .geometry import _integer, _shown
 
 MAGIC = b"GKTB"
 VERSION = 1
@@ -111,7 +111,7 @@ class HeatmapBundle:
         for field in ("num_classes", "downsample_ratio"):
             value = getattr(self, field)
             if not _integer(value):
-                raise DimensionError(f"{field} must be an integer, got {value!r}")
+                raise DimensionError(f"{field} must be an integer, got {_shown(value)}")
             setattr(self, field, int(value))
 
     @property
@@ -204,9 +204,9 @@ def write_gktb(dest, planes, *, num_classes, downsample_ratio):
 
 
 def _require_int(value, field):
-    """A header number must be a JSON integer (booleans and floats are not)."""
+    """A header number must be a JSON integer in int64's range (booleans and floats are not)."""
     if not _integer(value):
-        raise HeaderError(f"header field {field!r} must be an integer, got {value!r}")
+        raise HeaderError(f"header field {field!r} must be an integer, got {_shown(value)}")
     return value
 
 

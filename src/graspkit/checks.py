@@ -17,7 +17,7 @@ import numpy as np
 from . import losses
 from .bundle import _PLANE_COUNTS, HeatmapBundle, _plane_shape, read_bundle, write_bundle
 from .encoder import EncoderConfig, ideal_bundle
-from .geometry import Grasp, _integer, _shown, rect_from_grasp, rotated_iou, wrap_angle
+from .geometry import Grasp, _integer, _rng, _shown, rect_from_grasp, rotated_iou, wrap_angle
 from .grouper import group
 from .profiles import get_profile
 
@@ -68,7 +68,7 @@ def run_gradcheck_battery(seed=0, points=100, step=1e-5, tolerance=1e-4):
     """Finite-difference validation of all five losses at random smooth points."""
     if not _integer(points) or points < 1:
         raise ValueError(f"points must be >= 1, got {_shown(points)}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     results = {}
     for name, sample in _SAMPLERS.items():
         worst = 0.0
@@ -85,7 +85,7 @@ def run_gradcheck_battery(seed=0, points=100, step=1e-5, tolerance=1e-4):
 def run_selftest(seed=0):
     """Quick end-to-end health check: pipeline round-trip, gradients, format."""
     checks = []
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
 
     recovered = 0
     expected = 0

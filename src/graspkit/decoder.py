@@ -164,8 +164,8 @@ def _keypoint_arrays(heatmaps, embeddings, offsets, k, ratio, suppress=True):
     emb = embeddings[rows, cols]
     if not (np.isfinite(off).all() and np.isfinite(emb).all()):
         raise PayloadError("non-finite offset or embedding at a selected keypoint")
-    xs = np.clip((cols + off[0]) * ratio, 0.0, w * ratio)
-    ys = np.clip((rows + off[1]) * ratio, 0.0, h * ratio)
+    xs = np.clip((cols + off[0]) * ratio, 0.0, w * int(ratio))
+    ys = np.clip((rows + off[1]) * ratio, 0.0, h * int(ratio))
     return xs, ys, cls, flat[top].astype(float), emb.astype(float)
 
 

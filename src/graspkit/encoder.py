@@ -23,7 +23,7 @@ import numpy as np
 
 from .bundle import _PLANE_COUNTS, HeatmapBundle, _plane_shape
 from .decoder import TOP_K
-from .geometry import _require_count, angle_to_class, grasp_to_pair
+from .geometry import _require_count, _rng, angle_to_class, grasp_to_pair
 from .losses import ground_truth_offset
 
 # largest float32 strictly below 1.0; keeps stored offsets inside [0, 1)
@@ -156,7 +156,7 @@ def ideal_bundle(grasps, config, seed=0):
     bundle, index = encode_targets(grasps, config)
     bundle.embedL.fill(_BG_EMBED_LEFT)
     bundle.embedR.fill(_BG_EMBED_RIGHT)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     base = rng.uniform(2.0, 2.5)
     ranks = rng.permutation(len(index))
     for enc, rank in zip(index, ranks):

@@ -367,8 +367,20 @@ def rotated_iou(a, b):
 
 
 def _integer(value):
-    """True for an integer, numpy's included, that is not a ``bool``."""
-    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+    """True for an integer, numpy's included, not a ``bool``, in int64's range
+    [-2**63, 2**63): every integer setting sizes, indexes or scales an array."""
+    if type(value) is not int:
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            return False
+        value = int(value)  # comparing a numpy integer with 2**63 is slow
+    return -(2**63) <= value < 2**63
+
+
+def _rng(seed):
+    """numpy's default random generator, seeded by an integer from 0 to 2**63 - 1."""
+    if not _integer(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer from 0 to 2**63 - 1, got {_shown(seed)}")
+    return np.random.default_rng(seed)
 
 
 def _require_count(name, value):

@@ -554,3 +554,31 @@ def test_bundle_counts_accept_numpy_integers():
     bundle = HeatmapBundle(**planes, num_classes=np.int64(b.num_classes), downsample_ratio=np.int32(3))
     assert type(bundle.num_classes) is int and type(bundle.downsample_ratio) is int
     assert bundle.validate().downsample_ratio == 3
+
+
+def test_write_rejects_a_header_integer_outside_int64_before_opening_dest(tmp_path):
+    path = tmp_path / "never.gktb"
+    message = "^header field 'num_classes' must be an integer, got an integer of 16610 bits$"
+    with pytest.raises(HeaderError, match=message):
+        write_gktb(path, [("x", _A)], num_classes=10**5000, downsample_ratio=4)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 10**400])
+def test_read_rejects_a_header_integer_outside_int64(value):
+    buf = io.BytesIO()
+    write_bundle(random_bundle(np.random.default_rng(21)), buf)
+    data = buf.getvalue()
+    size = struct.unpack_from("<I", data, 5)[0]
+    header = json.loads(data[9:9 + size])
+    header["downsample_ratio"] = value
+    blob = json.dumps(header).encode("utf-8")
+    with pytest.raises(HeaderError, match="^header field 'downsample_ratio' must be an integer, got "):
+        read_bundle(io.BytesIO(data[:5] + struct.pack("<I", len(blob)) + blob + data[9 + size:]))
+
+
+def test_a_bundle_count_too_long_to_print_is_named_by_its_bit_count():
+    b = random_bundle(np.random.default_rng(19))
+    planes = {name: getattr(b, name) for name in CANONICAL_PLANES}
+    with pytest.raises(DimensionError, match="^num_classes must be an integer, got an integer of 16610 bits$"):
+        HeatmapBundle(**planes, num_classes=10**5000, downsample_ratio=4)

@@ -759,3 +759,19 @@ def test_a_key_error_inside_a_command_propagates(monkeypatch, annotations):
     monkeypatch.setattr("graspkit.cli.get_profile", missing)
     with pytest.raises(KeyError, match="cornell"):
         main(["evaluate", "--pred", str(annotations), "--truth", str(annotations), "--profile", "cornell"])
+
+
+@pytest.mark.parametrize("cmd", ["group", "decode"])
+def test_a_header_ratio_outside_int64_is_data_error(tmp_path, cmd):
+    path = tmp_path / "b.gktb"
+    write_bundle(ideal_bundle([Grasp(30.0, 30.0, 0.3, 20.0)], EncoderConfig(64, 64, CORNELL.num_classes)), path)
+    data = path.read_bytes()
+    size = int.from_bytes(data[5:9], "little")
+    header = json.loads(data[9:9 + size])
+    header["downsample_ratio"] = 10**400
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:5] + len(blob).to_bytes(4, "little") + blob + data[9 + size:])
+    proc = run_cli(cmd, "--bundle", str(path), "--profile", "cornell")
+    assert_data_error(proc)
+    assert "Traceback" not in proc.stderr
+

@@ -402,3 +402,10 @@ def test_high_candidates_are_the_pixels_reaching_the_4k_th_positive_score(data):
     if high is not None:
         t = np.sort(flat[positive])[-4 * k]
         assert np.array_equal(high, np.flatnonzero(flat >= t))
+
+
+def test_a_numpy_integer_ratio_scales_keypoints_as_its_int_does():
+    rng = np.random.default_rng(5)
+    args = (rng.random((2, 5, 5), dtype=np.float32), np.zeros((5, 5)), rng.random((2, 5, 5), dtype=np.float32), 3)
+    # no int64 wraparound in the clip bounds width * ratio and height * ratio
+    assert select_grasp_keypoints(*args, np.int64(2**62)) == select_grasp_keypoints(*args, 2**62)

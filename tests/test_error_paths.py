@@ -20,6 +20,7 @@ from graspkit import (
     GripperModel2D,
     GroupingThresholds,
     HeaderError,
+    HeatmapBundle,
     KeypointPair,
     MatchCriteria,
     OrientedRect,
@@ -29,6 +30,7 @@ from graspkit import (
     evaluate_dataset,
     filter_pairs,
     ground_truth_offset,
+    ideal_bundle,
     invert_rgd,
     make_scene,
     measure_fps,
@@ -51,7 +53,7 @@ from graspkit import (
     select_dynamic,
     select_grasp_keypoints,
 )
-from graspkit.checks import run_gradcheck_battery
+from graspkit.checks import run_gradcheck_battery, run_selftest
 from graspkit.geometry import grasp_from_record
 from helpers import random_bundle
 
@@ -406,6 +408,53 @@ def test_class_to_angle_still_takes_integer_arrays_and_rejects_out_of_range_clas
     assert class_to_angle(np.array([0, 9], dtype=np.uint8), 18).tolist() == [-math.pi / 2, 0.0]
     with pytest.raises(IndexError, match="out of range"):
         class_to_angle(np.array([0, 18]), 18)
+
+
+_OUTSIDE_INT64 = {"2**63": 2**63, "-2**63-1": -(2**63) - 1, "10**400": 10**400, "10**5000": 10**5000,
+                  "-10**5000": -(10**5000)}
+
+
+@pytest.mark.parametrize("case", list(_OUTSIDE_INT64))
+@pytest.mark.parametrize("setting", list(_INTEGER_SETTINGS))
+def test_an_integer_setting_outside_int64s_range_raises_value_error(setting, case):
+    build, _ = _INTEGER_SETTINGS[setting]
+    # numpy holds 2**63 as a uint64, so as a class index it is out of range
+    error = IndexError if (setting, case) == ("class_to_angle.c", "2**63") else ValueError
+    with pytest.raises(error):  # never an OverflowError, and never a run without end
+        build(_OUTSIDE_INT64[case])
+
+
+# every seed (geometry._rng)
+
+
+def _first_detection(seed):
+    scene = make_scene(0, 2)
+    return pipeline_detector(scene, CORNELL.thresholds, seed=seed)(scene.render())
+
+
+_SEEDED = {
+    "ideal_bundle": lambda s: ideal_bundle([Grasp(30.0, 30.0, 0.3, 20.0)], EncoderConfig(64, 64, 18), seed=s),
+    "make_scene": lambda s: make_scene(s, 3),
+    "run_gradcheck_battery": lambda s: run_gradcheck_battery(seed=s, points=2),
+    "run_selftest": lambda s: run_selftest(seed=s),
+    "pipeline_detector": _first_detection,
+}
+_BAD_SEEDS = {"None": None, "bool": True, "float": 1.5, "str": "3", "negative": -1, "2**63": 2**63}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SEEDS))
+@pytest.mark.parametrize("name", list(_SEEDED))
+def test_a_seed_is_an_integer_from_0_to_2_63_minus_1(name, case):
+    seed = _BAD_SEEDS[case]
+    message = f"seed must be an integer from 0 to 2**63 - 1, got {seed!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("name", list(_SEEDED))
+def test_a_numpy_integer_seed_gives_the_output_of_the_same_int(name):
+    got, expected = _SEEDED[name](np.int64(3)), _SEEDED[name](3)
+    assert got.equals(expected) if isinstance(expected, HeatmapBundle) else got == expected
 
 
 # the real settings of dynamic selection and flat surfaces

@@ -28,7 +28,7 @@ from graspkit import (
     wrap_angle,
     write_annotations,
 )
-from graspkit.geometry import _clip_convex, _rotated_ious
+from graspkit.geometry import _clip_convex, _integer, _rotated_ious
 from helpers import (
     annotation_texts,
     corners_reference,
@@ -521,3 +521,10 @@ def test_crlf_and_cr_files_keep_their_line_numbers(tmp_path, newline):
         for reader in (read_annotations, read_annotation_groups):
             with pytest.raises(ValueError, match=message):
                 reader(path)
+
+
+def test_the_integer_rule_holds_int64s_range():
+    for value in (2**63 - 1, -(2**63), np.int64(-(2**63)), np.uint64(2**63 - 1), 0):
+        assert _integer(value)
+    for value in (2**63, -(2**63) - 1, np.uint64(2**63), np.bool_(True), True, 10**5000):
+        assert not _integer(value)

@@ -491,3 +491,23 @@ def test_orientation_filter_accepts_a_numpy_float_tolerance():
     cands = filter_pairs([kp(10, 10, cls=9)], [kp(30, 10, cls=9, role="right")], np.ones((1, 1)),
                          CORNELL.thresholds, 18)
     assert orientation_filter(cands, np.float32(0.24), 18) == orientation_filter(cands, 0.24, 18) == cands
+
+
+def test_filter_pairs_rejects_a_class_count_beyond_int64():
+    left, right = [kp(10, 10, cls=0)], [kp(30, 10, cls=0, role="right")]
+    with pytest.raises(ValueError, match="^num_classes must be an integer >= 1, got an integer of 16610 bits$"):
+        filter_pairs(left, right, np.ones((1, 1)), CORNELL.thresholds, 10**5000)
+
+
+@pytest.mark.parametrize("cls, shown", [
+    (2.5, "2.5"), ("7", "'7'"), (True, "True"), (None, "None"),
+    pytest.param(10**400, "an integer of 1329 bits", id="10**400"),
+])
+def test_a_keypoint_class_index_that_is_not_an_integer_raises(cls, shown):
+    left = [kp(10, 10, cls=0), kp(12, 10, cls=cls)]
+    right = [kp(30, 10, cls=0, role="right")]
+    message = f"^{re.escape(f'keypoint class index must be an integer, got {shown}')}$"
+    with pytest.raises(ValueError, match=message):
+        extract_center_scores(left, right, np.ones((16, 16)), 4)
+    with pytest.raises(ValueError, match=message):
+        filter_pairs(left, right, np.ones((2, 1)), CORNELL.thresholds, 18)
