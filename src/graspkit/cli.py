@@ -3,7 +3,7 @@
 Subcommands: encode, decode, group, evaluate, score, simulate-binpick,
 filter-jacquard, gradcheck, selftest.  Machine-readable JSON goes to
 stdout, human diagnostics to stderr.  Exit codes: 0 success, 1 usage
-error, 2 data or validation error.
+error, 2 data or validation error (input too large for memory included).
 """
 
 from __future__ import annotations
@@ -16,15 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
+# What the parser and every command need; each command imports its heavier
+# modules (encoder, evaluator, depth, binpick, checks) when it runs.
 from .bundle import DimensionError, read_bundle, read_gktb, write_bundle
-from .checks import run_gradcheck_battery, run_selftest
 from .decoder import TOP_K, decode_bundle
-from .depth import GripperModel2D, read_depth_gktb, score_grasps
-from .encoder import EncoderConfig, ideal_bundle
-from .evaluator import MatchCriteria, evaluate_dataset
 from .geometry import grasp_to_record, read_annotation_groups, read_annotations
 from .grouper import GroupingThresholds, group
-from .binpick import make_scene, oracle_detector, pipeline_detector, run_bin_picking
 from .dataset import classify_annotation, coverage_ratio
 from .profiles import PROFILES, get_profile
 
@@ -73,6 +70,8 @@ def _profile_and_bundle(args):
 
 
 def _cmd_encode(args):
+    from .encoder import EncoderConfig, ideal_bundle
+
     profile = get_profile(args.profile)
     grasps = read_annotations(args.annotations)
     h, w = _parse_size(args.image_size)
@@ -129,6 +128,8 @@ def _cmd_group(args):
 
 
 def _cmd_evaluate(args):
+    from .evaluator import MatchCriteria, evaluate_dataset
+
     profile = get_profile(args.profile)
     criteria = MatchCriteria(eval_height=profile.eval_height)
     preds = read_annotation_groups(args.pred)
@@ -139,6 +140,8 @@ def _cmd_evaluate(args):
 
 
 def _cmd_score(args):
+    from .depth import GripperModel2D, read_depth_gktb, score_grasps
+
     grasps = read_annotations(args.grasps)
     if not grasps:
         raise ValueError(f"no grasps in {args.grasps}")
@@ -161,6 +164,9 @@ def _cmd_score(args):
 
 
 def _cmd_simulate(args):
+    from .binpick import make_scene, oracle_detector, pipeline_detector, run_bin_picking
+    from .depth import GripperModel2D
+
     profile = get_profile(args.profile)
     if args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
@@ -210,12 +216,16 @@ def _cmd_filter_jacquard(args):
 
 
 def _cmd_gradcheck(args):
+    from .checks import run_gradcheck_battery
+
     report = run_gradcheck_battery(seed=args.seed, points=args.points, tolerance=args.tolerance)
     _emit(report)
     return 0 if report["passed"] else 2
 
 
 def _cmd_selftest(args):
+    from .checks import run_selftest
+
     report = run_selftest(seed=args.seed)
     _emit(report)
     return 0 if report["passed"] else 2
@@ -297,8 +307,8 @@ def main(argv=None):
     except _UsageError as exc:  # from argparse, or from an option a command parses itself
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: input sized beyond memory
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

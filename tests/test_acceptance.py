@@ -63,7 +63,7 @@ def test_criterion_01_round_trip_recovery():
 def test_criterion_02_gradient_checks():
     with criterion(2, "all five losses pass central finite differences at 100 points"):
         t0 = time.perf_counter()
-        from graspkit.cli import run_gradcheck_battery
+        from graspkit.checks import run_gradcheck_battery
 
         report = run_gradcheck_battery(seed=7, points=100, step=1e-5, tolerance=1e-4)
         for name, entry in report["losses"].items():

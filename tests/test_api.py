@@ -1,12 +1,16 @@
 """The public API: every name the package exports resolves on ``graspkit``.
 
 The list is written out, not read from ``graspkit/__init__.py``, so that a
-name dropped there fails here.  It checks attribute access only, so it holds
-for an eager or a lazy (``__getattr__``) package module alike.
+name dropped there fails here.  The package module is lazy (a PEP 562
+``__getattr__``), so the import-footprint tests below pin which submodules
+``import graspkit``, ``import graspkit.cli`` and each CLI command load.
 """
 
+import ast
 import importlib
 import inspect
+import subprocess
+import sys
 
 import pytest
 
@@ -64,6 +68,63 @@ def test_public_names_resolve_to_their_module(module):
     source = importlib.import_module(f"graspkit.{module}")
     for name in PUBLIC_NAMES[module]:
         assert getattr(graspkit, name) is getattr(source, name), name
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from graspkit import *", namespace)
+    expected = {name for names in PUBLIC_NAMES.values() for name in names}
+    assert len(expected) == 97
+    assert set(namespace) - {"__builtins__"} == expected
+    assert expected <= set(dir(graspkit))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        graspkit.no_such_name
+    assert not hasattr(graspkit, "no_such_name")
+
+
+# The import footprint, each in a fresh interpreter: the package module loads
+# no submodule, the CLI loads what its parser and every command need, and a
+# command adds only the modules it runs.
+CLI_MODULES = {"graspkit", "bundle", "cli", "dataset", "decoder", "geometry", "grouper", "profiles"}
+COMMAND_MODULES = {"group": set(), "decode": set(), "encode": {"encoder", "losses"}, "evaluate": {"evaluator"}}
+
+
+def _loaded_after(code):
+    """The graspkit modules loaded once ``code`` has run in a fresh interpreter."""
+    report = "import sys; print(sorted(m.partition('.')[2] or m for m in sys.modules if m.split('.')[0] == 'graspkit'))"
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def test_import_graspkit_loads_no_submodule():
+    assert _loaded_after("import graspkit") == {"graspkit"}
+
+
+def test_import_cli_loads_only_what_every_command_needs():
+    assert _loaded_after("import graspkit.cli") == CLI_MODULES
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, command):
+    annotations, bundle = tmp_path / "a.jsonl", tmp_path / "b.gktb"
+    graspkit.write_annotations([graspkit.Grasp(60.0, 60.0, 0.3, 30.0)], annotations)
+    graspkit.write_bundle(graspkit.ideal_bundle(graspkit.read_annotations(annotations),
+                                                graspkit.EncoderConfig(128, 128, 18)), bundle)
+    argv = {
+        "group": ["group", "--bundle", str(bundle), "--profile", "cornell"],
+        "decode": ["decode", "--bundle", str(bundle), "--profile", "cornell"],
+        "encode": ["encode", "--annotations", str(annotations), "--profile", "cornell",
+                   "--image-size", "128x128", "--out", str(tmp_path / "out.gktb")],
+        "evaluate": ["evaluate", "--pred", str(annotations), "--truth", str(annotations), "--profile", "cornell"],
+    }[command]
+    code = ("import contextlib, io\nfrom graspkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n")
+    assert _loaded_after(code) == CLI_MODULES | COMMAND_MODULES[command]
 
 
 

@@ -761,6 +761,27 @@ def test_a_key_error_inside_a_command_propagates(monkeypatch, annotations):
         main(["evaluate", "--pred", str(annotations), "--truth", str(annotations), "--profile", "cornell"])
 
 
+# An input that passes every rule can still ask for more memory than exists
+# (`simulate-binpick --objects 1000000000000`, `encode --image-size
+# 1000000x1000000`); the callee is made to raise, so no test allocates it.
+@pytest.mark.parametrize("callee, argv, exc, line", [
+    ("graspkit.binpick.make_scene", ["simulate-binpick", "--objects", "1000000000000"],
+     MemoryError("Unable to allocate 7.28 TiB"), "error: Unable to allocate 7.28 TiB"),
+    ("graspkit.encoder.ideal_bundle", ["encode", "--profile", "cornell", "--image-size", "1000000x1000000"],
+     MemoryError(), "error: MemoryError"),
+], ids=["simulate-binpick", "encode"])
+def test_running_out_of_memory_is_a_data_error(monkeypatch, capsys, tmp_path, annotations, callee, argv, exc, line):
+    def allocate(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(callee, allocate)
+    if argv[0] == "encode":
+        argv = [*argv, "--annotations", str(annotations), "--out", str(tmp_path / "b.gktb")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [line]
+
+
 @pytest.mark.parametrize("cmd", ["group", "decode"])
 def test_a_header_ratio_outside_int64_is_data_error(tmp_path, cmd):
     path = tmp_path / "b.gktb"

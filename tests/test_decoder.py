@@ -339,8 +339,10 @@ def test_sampled_guess_above_the_threshold_partitions_all_positives(suppress_cal
     assert suppress_calls == []
 
 
+# Both tests resolve every exported name first, so the lazy package module
+# loads the whole library before they look at sys.modules.
 def test_import_does_not_load_scipy():
-    code = "import sys, graspkit; print('scipy' in sys.modules)"
+    code = "import sys, graspkit; [getattr(graspkit, n) for n in graspkit.__all__]; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -354,6 +356,7 @@ def test_numpy_is_the_only_runtime_dependency():
         "import sys\n"
         "before = {m.partition('.')[0] for m in sys.modules}\n"
         "import graspkit, graspkit.checks, graspkit.cli\n"
+        "[getattr(graspkit, name) for name in graspkit.__all__]\n"
         "after = {m.partition('.')[0] for m in sys.modules}\n"
         "print(' '.join(sorted(after - before - set(sys.stdlib_module_names))))\n"
     )
