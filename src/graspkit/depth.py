@@ -14,6 +14,18 @@ with p_c the grasp center, d_S the supporting-surface depth map and H the
 strict Heaviside step (H(0) = 0).  The total is the plain sum s_c+s_o+s_h.
 Each comparison is written once (``_collision``, ``_occupancy``); the scorers read
 region depths at given ``regions`` index sets, else by mask from one rasterization.
+
+``score_grasps`` scores each grasp once per change of its window.  It keeps
+one memo, of its last call: for each grasp scored there, the x, y, theta and
+w it was scored at (with their types), its rasterization window, a byte copy
+of the depth and surface values in that window and the score.  A grasp
+reuses that score only when the gripper model's four sizes, the image shape,
+its own four values and both windows' dtypes and bytes are all unchanged;
+anything else, and every failed score, is scored afresh.  A score reads
+nothing else (the window holds the center pixel), so the result equals
+scoring every grasp afresh.  The memo holds window copies of one call, never
+an image; a bin-picking trial, whose attempts change the depth only under
+the removed block, rasterizes each grasp once instead of once per attempt.
 """
 
 from __future__ import annotations
@@ -222,33 +234,77 @@ def height_score(g, depth_image):
     return min(1.0, max(0.0, raw))
 
 
+def _windowed_score(g, depth_image, model):
+    """``(window, score)``: the scores of ``score_grasp`` and the window of
+    the one rasterization they read, which holds the center pixel too."""
+    window, finger, interior = _gripper_masks(g, model, depth_image.shape)
+    depths = depth_image.depth[window]
+    pc = _center_pixel(g, depth_image.shape)
+    return window, GraspScore.compute(
+        _collision(depths[finger], depth_image, pc),
+        _occupancy(depths[interior], depth_image, pc),
+        height_score(g, depth_image),
+    )
+
+
 def score_grasp(g, depth_image, model):
     """All three scores for one grasp, by mask from one rasterization through the
     helpers of the two scorers; raises on capacity/degenerate cases, finger first."""
-    finger_depths, interior_depths = _region_depths(g, depth_image, model, None)
-    pc = _center_pixel(g, depth_image.shape)
-    return GraspScore.compute(
-        _collision(finger_depths, depth_image, pc),
-        _occupancy(interior_depths, depth_image, pc),
-        height_score(g, depth_image),
-    )
+    return _windowed_score(g, depth_image, model)[1]
+
+
+def _typed(*values):
+    """``values`` with their types: 2 == 2.0 == np.float32(2), but a float32
+    field rounds the gripper arithmetic differently."""
+    return tuple(zip(map(type, values), values))
+
+
+def _window_values(depth_image, window):
+    """The depth and surface values a score reads, as the dtypes and bytes
+    of the two windows: equal bytes of equal dtypes are equal values."""
+    depth, surface = depth_image.depth[window], depth_image.surface[window]
+    return depth.dtype, surface.dtype, depth.tobytes(), surface.tobytes()
+
+
+# The memo of the last score_grasps call: (typed model sizes, image shape,
+# {typed x, y, theta, w: (window, _window_values, score)}).  Each call
+# replaces it whole and never changes it in place, so calls from several
+# threads stay exact.
+_last_call = (None, None, {})
 
 
 def score_grasps(grasps, depth_image, model):
     """Score a ranked grasp list and re-rank by total (stable on ties).
 
     Grasps whose regions cannot be scored are demoted to total -1 instead
-    of aborting the batch.
+    of aborting the batch.  A grasp keeps its score from the last call when
+    all that the score reads is unchanged (see the module docstring), so
+    the result equals scoring every grasp afresh.
     """
+    global _last_call
     grasps = list(grasps)
     if not grasps:
         raise ValueError("empty grasp list")
+    model_key = _typed(model.finger_thickness_mm, model.max_open_mm, model.finger_length_mm, model.pixels_per_mm)
+    shape = depth_image.shape
+    last_model, last_shape, last = _last_call
+    if (last_model, last_shape) != (model_key, shape):
+        last = {}
+    kept = {}
     scored = []
     for g in grasps:
-        try:
-            scored.append((g, score_grasp(g, depth_image, model)))
-        except ValueError:  # GripperCapacityError and DegenerateRegionError included
-            scored.append((g, GraspScore.failed()))
+        key = _typed(g.x, g.y, g.theta, g.w)
+        entry = kept.get(key) or last.get(key)
+        if entry is None or _window_values(depth_image, entry[0]) != entry[1]:
+            try:
+                window, score = _windowed_score(g, depth_image, model)
+            except ValueError:  # GripperCapacityError and DegenerateRegionError included
+                scored.append((g, GraspScore.failed()))
+                continue
+            entry = (window, _window_values(depth_image, window), score)
+        kept[key] = entry
+        scored.append((g, entry[2]))
+    _last_call = (model_key, shape, kept)
     scored.sort(key=lambda pair: -pair[1].total)
     return scored
 

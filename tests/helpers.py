@@ -387,6 +387,43 @@ def score_grasps_reference(grasps, depth_image, model):
     return scored
 
 
+def run_bin_picking_reference(scene, detector, model):
+    """The bin-picking loop with no memo: every attempt renders the scene
+    and scores each grasp afresh through ``score_grasps_reference``."""
+    from graspkit import BinPickLog, GroupingThresholds
+    from graspkit.geometry import grasp_to_record
+
+    def feasible(score):
+        return score.valid and score.collision == 1.0 and score.occupancy > 0.5
+
+    log = BinPickLog(seed=scene.seed, n_objects=len(scene.blocks))
+    failures = (None, 0)
+    while scene.blocks and failures[1] < 5:
+        depth_image = scene.render()
+        grasps = list(detector(depth_image))[: GroupingThresholds.max_output]
+        attempt = {"attempt": len(log.attempts) + 1}
+        best = block = None
+        success = False
+        if grasps:
+            scored = score_grasps_reference(grasps, depth_image, model)
+            best, score = next((pair for pair in scored if feasible(pair[1])), scored[0])
+            block = scene.block_at(best.x, best.y)
+            success = feasible(score) and block is not None
+            attempt["grasp"] = grasp_to_record(best)
+            attempt["scores"] = score.to_dict()
+        attempt["success"] = success
+        attempt["block"] = block.block_id if block is not None else None
+        log.attempts.append(attempt)
+        if success:
+            scene.remove(block.block_id)
+            failures = (None, 0)
+        else:
+            near = scene.nearest_block(best.x, best.y) if best is not None else None
+            key = near.block_id if near is not None else None
+            failures = (key, failures[1] + 1 if key == failures[0] else 1)
+    return log
+
+
 def naive_detection_loss(pred, truth, n_grasps, alpha=2.0, beta=4.0, eps=1e-12):
     """Literal double-loop transcription of the per-pixel focal loss."""
     pred = np.asarray(pred, dtype=float)

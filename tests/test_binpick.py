@@ -12,18 +12,24 @@ from hypothesis import strategies as st
 
 from graspkit import (
     CORNELL,
+    AnnotationError,
     BinPickLog,
     Block,
+    DepthImage,
+    EncoderConfig,
     Grasp,
     GripperModel2D,
     SyntheticScene,
+    encode_targets,
     make_scene,
     oracle_detector,
     pipeline_detector,
     run_bin_picking,
     score_grasps,
 )
+from graspkit import depth
 from graspkit.geometry import grasp_to_record
+from helpers import run_bin_picking_reference
 
 MODEL = GripperModel2D()
 
@@ -333,3 +339,62 @@ def test_an_attempt_takes_the_first_feasible_grasp_else_the_top_one():
     log = run_bin_picking(scene, lambda _: [off_block, crushing], MODEL)
     assert [a["grasp"] for a in log.attempts] == [grasp_to_record(crushing)] * 5
     assert log.cleared == 0
+
+
+def _accepts(scene):
+    """Whether encode_targets takes the scene's oracle annotations, as the
+    pipeline detector encodes them (no keypoint off the image)."""
+    config = EncoderConfig(scene.image_height, scene.image_width, CORNELL.num_classes)
+    try:
+        encode_targets([b.oracle_grasp() for b in scene.blocks], config)
+    except AnnotationError:
+        return False
+    return True
+
+
+def _detector(name, scene, seed):
+    if name == "oracle":
+        return oracle_detector(scene)
+    return pipeline_detector(scene, CORNELL.thresholds, seed=seed)
+
+
+# The pipeline detector runs where encode_targets takes the scene: on 48 and
+# 40 px cells some block's oracle grasp puts a keypoint off the image.
+@pytest.mark.parametrize("cell_px, detectors", [
+    (120, ("oracle", "pipeline")), (96, ("oracle", "pipeline")), (80, ("oracle", "pipeline")),
+    (64, ("oracle", "pipeline")), (48, ("oracle",)), (40, ("oracle",)),
+])
+def test_bin_pick_logs_equal_the_memo_free_reference_loop(cell_px, detectors):
+    # score_grasps reuses a grasp's score while its window is unchanged; on
+    # small cells a block's removal changes its neighbours' windows
+    for seed in range(8):
+        assert _accepts(_scene_on_cells(seed, 25, cell_px)) == ("pipeline" in detectors)
+        for name in detectors:
+            scene, reference = _scene_on_cells(seed, 25, cell_px), _scene_on_cells(seed, 25, cell_px)
+            got = run_bin_picking(scene, _detector(name, scene, seed), MODEL).to_dict()
+            want = run_bin_picking_reference(reference, _detector(name, reference, seed), MODEL).to_dict()
+            assert got == want, (name, seed)
+
+
+def _rasterizations(monkeypatch, scene):
+    """``_gripper_masks`` calls of an oracle trial on ``scene``, with a memo
+    that holds only one grasp on a 2x2 image when the trial starts."""
+    score_grasps([Grasp(0.5, 0.5, 0.0, 1.0)], DepthImage(np.full((2, 2), 990.0), np.full((2, 2), 1000.0)), MODEL)
+    calls = []
+    masks = depth._gripper_masks
+    monkeypatch.setattr(depth, "_gripper_masks", lambda *args: calls.append(None) or masks(*args))
+    log = run_bin_picking(scene, oracle_detector(scene), MODEL)
+    return len(calls), log
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_25_object_trial_rasterizes_each_grasp_once(monkeypatch, seed):
+    # 25 attempts score 25 + 24 + ... + 1 grasps; only the first attempt's
+    # 25 are rasterized, since no block's removal reaches another's window
+    calls, log = _rasterizations(monkeypatch, make_scene(seed, 25))
+    assert (calls, len(log.attempts), log.cleared) == (25, 25, 25)
+
+
+def test_a_trial_on_40_px_cells_rasterizes_again_where_a_removal_changed_a_window(monkeypatch):
+    calls, log = _rasterizations(monkeypatch, _scene_on_cells(0, 25, 40))
+    assert calls > 25

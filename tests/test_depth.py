@@ -28,6 +28,7 @@ from graspkit import (
     write_depth_gktb,
     write_gktb,
 )
+from graspkit import depth
 from graspkit.binpick import make_scene
 from helpers import gripper_regions_reference, score_grasps_reference
 
@@ -496,3 +497,116 @@ def test_height_score_rejects_a_surface_set_to_zero_after_the_image_is_built():
         height_score(g, image)
     with pytest.raises(ValueError, match="surface depth at center must be positive"):
         score_grasp(g, image, MODEL)
+
+
+class _MovableGrasp:
+    """A duck-typed grasp whose fields may change between calls."""
+
+    def __init__(self, x, y, theta, w):
+        self.x, self.y, self.theta, self.w = x, y, theta, w
+
+
+# two gripper models with small windows, so writes land both inside and
+# outside a grasp's window; at most 45 px of opening
+_MEMO_MODELS = (GripperModel2D(4.0, 30.0, 6.0, 1.0), GripperModel2D(3.0, 24.0, 5.0, 1.5))
+
+
+def _memo_images(draw, shape, other):
+    """Two images of ``shape`` and one of ``other``; all three hold one
+    random plane pair, cut to their shape, so that a window of one image may
+    hold the same values in another."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = (max(shape[0], other[0]), max(shape[1], other[1]))
+    # few levels, so the strict steps meet ties and writes may leave a value as it was
+    depth, surface = rng.integers(995, 1005, size), rng.integers(998, 1002, size)
+    return [DepthImage(depth[:h, :w].astype(np.float32), surface[:h, :w].astype(np.float32))
+            for h, w in (shape, shape, other)]
+
+
+@st.composite
+def _score_sequences(draw):
+    """Three images (two of one shape, one of another), a grasp pool and a
+    sequence of score calls, repeats of the last call, in-place writes and
+    moves of a duck grasp.  A write lands on the center pixel of one of the
+    last call's grasps (the one surface pixel its score reads) or on any
+    pixel."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    other = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    images = _memo_images(draw, (h, w), other)
+    theta = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi / 4]),
+                      st.floats(-math.pi / 2, math.pi / 2, exclude_min=True))
+    pool = [
+        Grasp(draw(st.floats(0.0, w, exclude_max=True)), draw(st.floats(0.0, h, exclude_max=True)),
+              draw(theta), draw(st.floats(0.01, 45.0)))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    pool += [
+        Grasp(w + 1.0, h / 2, 0.0, 5.0),             # off the image
+        Grasp(w / 2, h / 2, 0.0, 50.0),              # over either model's capacity
+        Grasp(w // 2 + 0.5, h // 2 + 0.5, 0.0, 0.01),  # no interior pixel: degenerate
+        _MovableGrasp(w / 2, h / 2, draw(theta), draw(st.floats(0.01, 45.0))),
+    ]
+    pixel = st.one_of(st.tuples(st.just("center"), st.integers(0, 9)), st.tuples(st.just("any"), st.integers(0, 10**6)))
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("score"), st.integers(0, 2), st.integers(0, 1),
+                  st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10)),
+        st.just(("again",)),
+        st.tuples(st.just("write"), st.sampled_from(["depth", "surface"]), pixel,
+                  st.sampled_from([0.0, 990.0, 999.0, 1000.0, 1010.0])),
+        st.tuples(st.just("move"), st.floats(-2.0, w + 2.0)),
+    ), min_size=1, max_size=14))
+    return images, pool, steps
+
+
+@settings(max_examples=500, deadline=None)
+@given(_score_sequences())
+def test_score_grasps_equals_the_reference_after_every_call_of_a_sequence(case):
+    images, pool, steps = case
+    i, m, picks = 0, 0, [0]  # the last call's image, model and grasps; "again" repeats it
+    for step in steps:
+        if step[0] == "write":  # in place, into the last call's image
+            _, plane, (kind, n), value = step
+            array = getattr(images[i], plane)
+            if kind == "center":  # of one of the last call's grasps
+                g = pool[picks[n % len(picks)]]
+                array[min(max(round(g.y), 0), array.shape[0] - 1), min(max(round(g.x), 0), array.shape[1] - 1)] = value
+            else:
+                array.flat[n % array.size] = value
+        elif step[0] == "move":
+            pool[-1].x = step[1]
+        else:
+            if step[0] == "score":
+                _, i, m, picks = step
+            grasps = [pool[p] for p in picks]
+            got = score_grasps(grasps, images[i], _MEMO_MODELS[m])
+            want = score_grasps_reference(grasps, images[i], _MEMO_MODELS[m])
+            assert [id(g) for g, _ in got] == [id(g) for g, _ in want]
+            assert repr([s for _, s in got]) == repr([s for _, s in want])
+
+
+def test_a_model_equal_in_value_but_of_float32_sizes_is_scored_afresh():
+    # the two models compare equal, but a float32 finger length rounds
+    # reach = w / 2 + 40 to float32, which moves the fingers' far edge
+    model32 = GripperModel2D(finger_length_mm=np.float32(40.0))
+    assert model32 == MODEL
+    rng = np.random.default_rng(0)
+    image = DepthImage(rng.integers(995, 1005, (80, 80)).astype(np.float32),
+                       rng.integers(998, 1002, (80, 80)).astype(np.float32))
+    g = Grasp(58.0, 44.0, 0.0, 11.999999989592574)
+    first = score_grasps([g], image, MODEL)[0][1]
+    second = score_grasps([g], image, model32)[0][1]
+    assert first == score_grasp(g, image, MODEL)
+    assert second == score_grasp(g, image, model32) != first
+
+
+def test_a_grasp_value_of_another_type_is_rasterized_again(monkeypatch):
+    image = flat_scene(side=60)
+    calls = []
+    masks = depth._gripper_masks
+    monkeypatch.setattr(depth, "_gripper_masks", lambda *args: calls.append(None) or masks(*args))
+    g = Grasp(30.0, 30.0, 0.3, 12.5)
+    score_grasps([g, g], image, MODEL)
+    score_grasps([g], image, MODEL)
+    assert len(calls) == 1
+    score_grasps([Grasp(np.float32(30.0), 30.0, 0.3, 12.5)], image, MODEL)  # 30.0 == np.float32(30.0)
+    assert len(calls) == 2
