@@ -129,8 +129,9 @@ class HeatmapBundle:
             for name, count in _PLANE_COUNTS.items()
         ]
 
-    def validate(self):
-        """Check every bundle invariant; raises a GKTBError subclass."""
+    def _check_layout(self):
+        """The half of :meth:`validate` that reads no plane value: counts,
+        ratio, grid and plane shapes.  Raises DimensionError."""
         if self.num_classes < 1:
             raise DimensionError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.downsample_ratio < 1:
@@ -138,14 +139,18 @@ class HeatmapBundle:
         h, w = self.center.shape[-2:]
         if h < 1 or w < 1:
             raise DimensionError(f"grid must be at least 1x1, got {h}x{w}")
-        bounds = {}
         for name in _PLANE_COUNTS:
             arr, expected = getattr(self, name), _plane_shape(name, self.num_classes, h, w)
             if arr.shape != expected:
                 raise DimensionError(
                     f"plane {name}: shape {arr.shape} does not match expected {expected}"
                 )
-            bounds[name] = _bounds(name, arr)
+
+    def validate(self):
+        """Check every bundle invariant; raises a GKTBError subclass, a
+        DimensionError before any fault of a plane's values."""
+        self._check_layout()
+        bounds = {name: _bounds(name, getattr(self, name)) for name in _PLANE_COUNTS}
         for name in ("left", "right", "center"):
             lo, hi = bounds[name]
             if lo < 0.0 or hi > 1.0:

@@ -6,7 +6,8 @@ slice max over the plane zero-padded by one pixel: a max over three row
 shifts, then over three column shifts.  Then the k highest-scoring (class,
 pixel) entries survive with ties broken by ascending (class, row, col).
 Coordinates are refined to input-image resolution with the offset planes:
-(pixel + offset) * R, the exact inverse of the encoder's quantization.
+(pixel + offset) * R, the exact inverse of ``geometry._cell``, the
+encoder's one quantization rule.
 Embeddings are read at the winning integer pixel.
 
 Top-k selection runs that rule without suppressing every pixel.  Only
@@ -186,6 +187,7 @@ def select_grasp_keypoints(heatmaps, embeddings, offsets, k, ratio, role="left",
 
 def _decode(bundle, k):
     """Keypoint arrays of the left and right roles, 3x3 suppression included."""
+    bundle._check_layout()
     roles = ((bundle.left, bundle.embedL, bundle.offsetL), (bundle.right, bundle.embedR, bundle.offsetR))
     return [_keypoint_arrays(*planes, k, bundle.downsample_ratio) for planes in roles]
 

@@ -23,8 +23,7 @@ import numpy as np
 
 from .bundle import _PLANE_COUNTS, HeatmapBundle, _plane_shape
 from .decoder import TOP_K
-from .geometry import _require_count, _rng, angle_to_class, grasp_to_pair
-from .losses import ground_truth_offset
+from .geometry import _cell, _require_count, _rng, angle_to_class, grasp_to_pair
 
 # largest float32 strictly below 1.0; keeps stored offsets inside [0, 1)
 _OFFSET_CEIL = np.float32(1.0 - 2.0**-24)
@@ -58,8 +57,7 @@ class EncoderConfig:
 
     @property
     def heatmap_shape(self):
-        r = self.downsample_ratio
-        return (-(-self.image_height // r), -(-self.image_width // r))
+        return tuple(-(-size // self.downsample_ratio) for size in (self.image_height, self.image_width))
 
 
 @dataclass(frozen=True)
@@ -75,17 +73,21 @@ class EncodedGrasp:
     right_offset: tuple
 
 
-def _splat(plane, row, col, sigma):
-    """Max-combine a truncated Gaussian bump, peak 1.0 at (row, col)."""
-    radius = int(math.ceil(3.0 * sigma))
-    h, w = plane.shape
-    r0, r1 = max(0, row - radius), min(h - 1, row + radius)
-    c0, c1 = max(0, col - radius), min(w - 1, col + radius)
-    rows = np.arange(r0, r1 + 1)
-    cols = np.arange(c0, c1 + 1)
-    d2 = (rows[:, None] - row) ** 2 + (cols[None, :] - col) ** 2
-    bump = np.exp(-d2 / (2.0 * sigma * sigma)).astype(np.float32)
-    np.maximum(plane[r0 : r1 + 1, c0 : c1 + 1], bump, out=plane[r0 : r1 + 1, c0 : c1 + 1])
+def _gaussian(sigma, cap):
+    """Truncated Gaussian bump, peak 1.0 in its middle: a square float32 kernel of
+    radius ceil(3 sigma) capped at ``cap``, the heatmap's larger side, beyond any splat's reach."""
+    radius = min(math.ceil(3.0 * sigma), cap)
+    d2 = np.arange(-radius, radius + 1) ** 2  # squared offsets from the middle
+    return np.exp(-(d2[:, None] + d2) / (2.0 * sigma * sigma)).astype(np.float32)
+
+
+def _splat(plane, row, col, bump):
+    """Max-combine the part of ``bump`` that lies on ``plane``, its middle at (row, col)."""
+    radius = len(bump) // 2
+    r0, c0 = max(0, row - radius), max(0, col - radius)
+    window = plane[r0 : row + radius + 1, c0 : col + radius + 1]
+    top, left = r0 - row + radius, c0 - col + radius
+    np.maximum(window, bump[top : top + window.shape[0], left : left + window.shape[1]], out=window)
 
 
 def encode_targets(grasps, config):
@@ -113,22 +115,19 @@ def encode_targets(grasps, config):
                     f"{config.image_width}x{config.image_height} image"
                 )
         cls = angle_to_class(g.theta, n_cls)
-        pixels = [(int(py // r), int(px // r)) for px, py in (pair.left, pair.right)]
+        cells = [(_cell(px, r), _cell(py, r)) for px, py in (pair.left, pair.right)]
+        pixels = [(row, col) for (col, _), (row, _) in cells]
         if pixels[0] in taken_left or pixels[1] in taken_right:
             continue  # first grasp at this pixel wins
 
-        sigma = max(1.0, g.w / (3.0 * r))
-        offsets = []
-        for point, (row, col), (heat, offset, taken) in zip((pair.left, pair.right), pixels, roles):
+        bump = _gaussian(max(1.0, g.w / (3.0 * r)), max(hm_h, hm_w))
+        for ((col, ox), (row, oy)), (heat, offset, taken) in zip(cells, roles):
             taken.add((row, col))
-            _splat(heat[cls], row, col, sigma)
-            ox, oy = ground_truth_offset(point, r)
+            _splat(heat[cls], row, col, bump)
             offset[0, row, col] = min(np.float32(ox), _OFFSET_CEIL)
             offset[1, row, col] = min(np.float32(oy), _OFFSET_CEIL)
-            offsets.append((ox, oy))
-        crow, ccol = int(g.y // r), int(g.x // r)
-        _splat(bundle.center, crow, ccol, sigma)
-        index.append(EncodedGrasp(gi, cls, *pixels, *offsets))
+        _splat(bundle.center, _cell(g.y, r)[0], _cell(g.x, r)[0], bump)
+        index.append(EncodedGrasp(gi, cls, *pixels, *[(ox, oy) for (_, ox), (_, oy) in cells]))
 
     return bundle, index
 

@@ -181,6 +181,13 @@ def angle_to_class(theta, num_classes):
     return max(0, math.ceil(u - 0.5))
 
 
+def _cell(v, ratio):
+    """The encoder's one quantization rule: heatmap cell ``floor(v / R)`` of image
+    coordinate ``v`` and fraction ``v / R - floor(v / R)``, which ``(cell + fraction) * R`` inverts."""
+    cell = math.floor(q := v / ratio)
+    return cell, q - cell
+
+
 @dataclass(frozen=True)
 class OrientedRect:
     """Rectangle with center, width along the grasp axis, height across it,

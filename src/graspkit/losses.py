@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import _finite_number, _integer, _shown
+from .geometry import _cell, _finite_number, _integer, _shown
 
 LOG_EPS = 1e-12
 
@@ -109,14 +109,14 @@ def offset_loss(pred_offsets, truth_offsets):
 
 
 def ground_truth_offset(pixel, ratio):
-    """Sub-pixel target for a keypoint at integer image pixel (i, j):
-    the fractional parts of (i/R, j/R)."""
-    i, j = pixel
-    if i < 0 or j < 0:
+    """Sub-pixel target ``(ox, oy)`` for a keypoint at image coordinates
+    ``(x, y)``, any reals >= 0: the fractional parts of (x/R, y/R)."""
+    x, y = pixel
+    if x < 0 or y < 0:
         raise ValueError(f"negative pixel {pixel}")
     if not _integer(ratio) or ratio < 1:
         raise ValueError(f"downsample ratio must be >= 1 and an integer, got {_shown(ratio)}")
-    return (i / ratio - math.floor(i / ratio), j / ratio - math.floor(j / ratio))
+    return _cell(x, ratio)[1], _cell(y, ratio)[1]
 
 
 def pull_loss(pairs):

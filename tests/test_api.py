@@ -12,6 +12,7 @@ import inspect
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import graspkit
@@ -89,7 +90,11 @@ def test_an_unknown_name_raises_attribute_error():
 # no submodule, the CLI loads what its parser and every command need, and a
 # command adds only the modules it runs.
 CLI_MODULES = {"graspkit", "bundle", "cli", "dataset", "decoder", "geometry", "grouper", "profiles"}
-COMMAND_MODULES = {"group": set(), "decode": set(), "encode": {"encoder", "losses"}, "evaluate": {"evaluator"}}
+COMMAND_MODULES = {
+    "group": set(), "decode": set(), "encode": {"encoder"}, "evaluate": {"evaluator"}, "score": {"depth"},
+    "simulate-binpick": {"binpick", "depth", "encoder"}, "filter-jacquard": set(),
+    "gradcheck": {"checks", "encoder", "losses"}, "selftest": {"checks", "encoder", "losses"},
+}
 
 
 def _loaded_after(code):
@@ -110,16 +115,29 @@ def test_import_cli_loads_only_what_every_command_needs():
 
 @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, command):
-    annotations, bundle = tmp_path / "a.jsonl", tmp_path / "b.gktb"
+    annotations, bundle, depth = tmp_path / "a.jsonl", tmp_path / "b.gktb", tmp_path / "d.gktb"
     graspkit.write_annotations([graspkit.Grasp(60.0, 60.0, 0.3, 30.0)], annotations)
     graspkit.write_bundle(graspkit.ideal_bundle(graspkit.read_annotations(annotations),
                                                 graspkit.EncoderConfig(128, 128, 18)), bundle)
+    surface = np.full((128, 128), 1000.0, np.float32)
+    graspkit.write_depth_gktb(graspkit.DepthImage(surface, surface), depth)
+    (tmp_path / "ann").mkdir()
+    (tmp_path / "masks").mkdir()
+    graspkit.write_annotations([graspkit.Grasp(60.0, 60.0, 0.3, 30.0, 15.0)], tmp_path / "ann" / "i.jsonl")
+    graspkit.write_gktb(tmp_path / "masks" / "i.gktb", [("mask", np.ones((1, 128, 128), np.float32))],
+                        num_classes=1, downsample_ratio=1)
     argv = {
         "group": ["group", "--bundle", str(bundle), "--profile", "cornell"],
         "decode": ["decode", "--bundle", str(bundle), "--profile", "cornell"],
         "encode": ["encode", "--annotations", str(annotations), "--profile", "cornell",
                    "--image-size", "128x128", "--out", str(tmp_path / "out.gktb")],
         "evaluate": ["evaluate", "--pred", str(annotations), "--truth", str(annotations), "--profile", "cornell"],
+        "score": ["score", "--grasps", str(annotations), "--depth", str(depth)],
+        "simulate-binpick": ["simulate-binpick", "--objects", "2"],
+        "filter-jacquard": ["filter-jacquard", "--annotations", str(tmp_path / "ann"),
+                            "--masks", str(tmp_path / "masks"), "--out", str(tmp_path / "f.json")],
+        "gradcheck": ["gradcheck", "--points", "1"],
+        "selftest": ["selftest"],
     }[command]
     code = ("import contextlib, io\nfrom graspkit.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"

@@ -1,20 +1,28 @@
 """Target encoding: peaks, offsets, dedup and the ideal-bundle oracle."""
 
+import hashlib
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from graspkit import (
+    AJD,
     AnnotationError,
     CapacityError,
     CORNELL,
     EncoderConfig,
     Grasp,
     encode_targets,
+    encoder,
     group,
     ideal_bundle,
+    write_bundle,
 )
+from graspkit.geometry import _cell
 from helpers import random_separated_grasps, recovered_fraction
 
 
@@ -181,3 +189,75 @@ def test_config_rejects_booleans(name):
     sizes = {"image_height": 228, "image_width": 228, "num_classes": 18, "downsample_ratio": 4, name: True}
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got True"):
         EncoderConfig(**sizes)
+
+
+# Fixed grasp sets whose GKTB bytes pin the encoder.  Between them: splats
+# clipped at every image edge, sigma > 1 (w > 3R), a grasp dropped by
+# first-wins in each set, image sizes that are not multiples of R, and
+# Grasp fields given as int and as np.float32.
+_F32 = np.float32
+PINNED_SETS = {
+    "cornell": (
+        EncoderConfig(226, 229, CORNELL.num_classes, CORNELL.downsample_ratio),
+        [
+            Grasp(12.0, 6.0, 0.0, 20.0),  # clipped at the top and left edges
+            Grasp(100.0, 120.0, 0.0, 60.0),
+            Grasp(100.5, 120.5, 0.0, 61.0),  # dropped: the same pixels as the grasp before it
+            Grasp(_F32(150.3), _F32(80.7), _F32(0.4), _F32(44.5)),
+            Grasp(210, 215, 0, 36),  # clipped at the bottom and right edges
+            Grasp(60.25, 180.75, -1.2, 7.5),
+        ],
+        [0, 1, 3, 4, 5],
+        "1f85482bb9077190765abb9758f1dac13fe402f7248ba903833c300cc673965b",
+    ),
+    "ajd": (
+        EncoderConfig(301, 258, AJD.num_classes, AJD.downsample_ratio),
+        [
+            Grasp(_F32(240.5), _F32(30.25), _F32(-0.7), _F32(33.0)),
+            Grasp(40, 290, 0, 70),
+            Grasp(128.0, 150.0, 1.5, 150.0),  # sigma 12.5
+            Grasp(41, 291, 0, 71),  # dropped
+            Grasp(_F32(200.0), _F32(200.0), _F32(0.9), _F32(12.0)),
+            Grasp(3.5, 150.0, 0.0, 6.0),  # left keypoint at x = 0.5
+        ],
+        [0, 1, 2, 4, 5],
+        "00d9dd1e1b6c6b68099d1076abc9a7f9d338cc9d0b9cb1aa8fd0209436e196e4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SETS))
+def test_ideal_bundle_bytes_are_pinned(name):
+    config, grasps, kept, digest = PINNED_SETS[name]
+    assert [e.index for e in encode_targets(grasps, config)[1]] == kept
+    buf = io.BytesIO()
+    write_bundle(ideal_bundle(grasps, config), buf)
+    assert hashlib.sha256(buf.getvalue()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SETS))
+def test_each_kept_grasp_builds_one_gaussian(name, monkeypatch):
+    config, grasps, kept, _ = PINNED_SETS[name]
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return gaussian(*args)
+
+    gaussian = encoder._gaussian
+    monkeypatch.setattr(encoder, "_gaussian", counted)
+    encode_targets(grasps, config)
+    assert len(built) == len(kept)
+
+
+@given(
+    ratio=st.integers(1, 64),
+    k=st.integers(0, 2**20),
+    step=st.sampled_from([-1, 0, 1]),
+    as_float32=st.booleans(),
+)
+def test_cell_is_floor_division_at_and_beside_cell_edges(ratio, k, step, as_float32):
+    edge = _F32(k * ratio) if as_float32 else float(k * ratio)
+    v = type(edge)(np.nextafter(edge, step * math.inf)) if step else edge
+    assume(v >= 0)
+    assert _cell(v, ratio) == (int(v // ratio), v / ratio - math.floor(v / ratio))

@@ -82,6 +82,41 @@ def test_bundles_that_differ_in_a_count_are_not_equal(field):
     assert not bundle.equals(other) and not other.equals(bundle)
 
 
+def _bad_layouts():
+    """An ideal two-grasp bundle with one layout fault each, and the message
+    ``validate`` gives for it."""
+    b = ideal_bundle([Grasp(60.0, 60.0, 0.3, 40.0), Grasp(150.0, 150.0, -0.5, 30.0)], EncoderConfig(228, 228, 18))
+    h, w = b.center.shape
+    return {
+        "num_classes-0": (dataclasses.replace(b, num_classes=0), "num_classes must be >= 1, got 0"),
+        "embedL-shape": (dataclasses.replace(b, embedL=b.embedL[:, :-1]), "plane embedL: shape"),
+        "ratio-0": (dataclasses.replace(b, downsample_ratio=0), "downsample_ratio must be >= 1, got 0"),
+        "ratio-minus-4": (dataclasses.replace(b, downsample_ratio=-4), "downsample_ratio must be >= 1, got -4"),
+        "center-grid": (dataclasses.replace(b, center=np.zeros((h + 3, w), np.float32)), "plane left: shape"),
+    }
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda b: b.validate(), decode_bundle, lambda b: group(b, CORNELL.thresholds),
+     lambda b: group_candidates(b, CORNELL.thresholds)],
+    ids=["validate", "decode_bundle", "group", "group_candidates"],
+)
+@pytest.mark.parametrize("fault", sorted(_bad_layouts()))
+def test_bundle_entry_points_reject_a_layout_that_validate_rejects(fault, call):
+    bundle, message = _bad_layouts()[fault]
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}"):
+        call(bundle)
+
+
+def test_validate_reports_a_shape_fault_before_a_value_fault_on_an_earlier_plane():
+    b = random_bundle(np.random.default_rng(3))
+    left = b.left.copy()
+    left[0, 0, 0] = np.nan
+    with pytest.raises(DimensionError, match="plane embedR: shape"):
+        dataclasses.replace(b, left=left, embedR=b.embedR[:-1]).validate()
+
+
 @pytest.mark.parametrize("tail", [b"", b"\x01", b"\x01\x00\x00\x00"])
 def test_stream_ending_inside_the_fixed_header_is_a_header_error(tail):
     with pytest.raises(HeaderError, match="inside the fixed header"):
