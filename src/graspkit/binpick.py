@@ -132,10 +132,19 @@ def make_scene(seed, n_objects):
 
 
 def oracle_detector(scene):
-    """Perfect detector: proposes each remaining block's oracle grasp."""
+    """Perfect detector: proposes each remaining block's oracle grasp.  A
+    block is frozen, so its grasp is built once and returned on every later
+    attempt; the detector keeps it with the block, by the block's identity."""
+    kept = {}
 
     def detect(depth_image):
-        return [b.oracle_grasp() for b in scene.blocks]
+        grasps = []
+        for b in scene.blocks:
+            entry = kept.get(id(b))
+            if entry is None:
+                entry = kept[id(b)] = (b, b.oracle_grasp())
+            grasps.append(entry[1])
+        return grasps
 
     return detect
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import PayloadError, _float32
+from .bundle import DimensionError, PayloadError, _float32
 from .geometry import _integer, _require_count, _shown
 
 TOP_K = 100  # the keypoint budget: top-k keypoints decoded per role
@@ -180,8 +180,16 @@ def select_grasp_keypoints(heatmaps, embeddings, offsets, k, ratio, role="left",
 
     ``suppress=False`` ranks raw pixels, without the 3x3 suppression that
     :func:`decode_bundle` always applies.  ``ratio`` must be an integer >= 1.
+    ``heatmaps`` is a (C, H, W) stack or one (H, W) plane, ``embeddings`` an
+    (H, W) plane and ``offsets`` a (2, H, W) stack, else DimensionError.
     """
     _require_count("ratio", ratio)
+    grid = np.shape(heatmaps)
+    if len(grid) not in (2, 3):
+        raise DimensionError(f"heatmaps: expected a (C, H, W) stack or an (H, W) plane, got shape {grid}")
+    for name, plane, expected in (("embeddings", embeddings, grid[-2:]), ("offsets", offsets, (2, *grid[-2:]))):
+        if np.shape(plane) != expected:
+            raise DimensionError(f"{name}: shape {np.shape(plane)} does not match expected {expected}")
     return _detected(_keypoint_arrays(heatmaps, embeddings, offsets, k, ratio, suppress), role)
 
 

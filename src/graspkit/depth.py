@@ -26,6 +26,13 @@ nothing else (the window holds the center pixel), so the result equals
 scoring every grasp afresh.  The memo holds window copies of one call, never
 an image; a bin-picking trial, whose attempts change the depth only under
 the removed block, rasterizes each grasp once instead of once per attempt.
+
+``DepthImage`` checks both planes' values on every construction but one:
+``flat_surface``'s shared plane is immutable (its buffer is ``bytes``), so
+once it has passed the check inside an image it is not scanned again.  A
+bin-picking attempt renders onto that plane, and so scans only its fresh
+depth plane; every error, and the order of the checks, are those of a
+full check.
 """
 
 from __future__ import annotations
@@ -64,9 +71,10 @@ class DepthImage:
             )
         if self.depth.ndim != 2:
             raise ValueError(f"depth image must be 2-D, got ndim={self.depth.ndim}")
-        # min/max also fail on NaN; an empty image fails on its size
+        # min/max also fail on NaN; an empty image fails on its size; the
+        # shared flat plane that already passed is immutable, so it still passes
         for a in (self.depth, self.surface):
-            if not (a.size and 0 < a.min() and a.max() < math.inf):
+            if a is not _checked_plane and not (a.size and 0 < a.min() and a.max() < math.inf):
                 raise ValueError("depths must be finite, strictly positive millimeters")
 
     @classmethod
@@ -74,12 +82,16 @@ class DepthImage:
         """A depth image over a constant surface at ``surface_mm``, a finite
         real number > 0 (else ValueError).
 
-        The surface plane is shared and read-only: images of one shape and
+        The surface plane is shared and immutable: images of one shape and
         level hold the same array, so copy it to change it.
         """
+        global _checked_plane
         if not (_finite_number(surface_mm) and surface_mm > 0):
             raise ValueError(f"surface level must be finite, strictly positive, got {_shown(surface_mm)}")
-        return cls(depth, _flat_plane(np.shape(depth), float(surface_mm)))
+        plane = _flat_plane(np.shape(depth), float(surface_mm))
+        image = cls(depth, plane)
+        _checked_plane = plane  # it passed the value check just now
+        return image
 
     @property
     def shape(self):
@@ -88,11 +100,16 @@ class DepthImage:
 
 @functools.lru_cache(maxsize=1)
 def _flat_plane(shape, surface_mm):
-    """The read-only constant plane of ``flat_surface``, built once per
-    shape and level (a bin-picking trial renders the same one each attempt)."""
-    plane = np.full(shape, _float32(surface_mm))
-    plane.flags.writeable = False
-    return plane
+    """The constant plane of ``flat_surface``, built once per shape and level
+    (a bin-picking trial renders the same one each attempt).  Its buffer is
+    ``bytes``, so no one can make it writeable again."""
+    return np.frombuffer(np.full(shape, _float32(surface_mm)).tobytes(), np.float32).reshape(shape)
+
+
+# The flat_surface plane that last passed DepthImage's value check.  It is
+# immutable and this reference keeps it alive, so an identity match is that
+# same checked plane, never a new array at a recycled address.
+_checked_plane = None
 
 
 @dataclass(frozen=True)

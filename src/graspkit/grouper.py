@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import _float32
+from .bundle import DimensionError, _float32
 from .decoder import TOP_K, DetectedKeypoint, _decode, _detected
 from .decoder import decode_bundle  # noqa: F401  (bench/spans.py traces it under this module)
 from .geometry import _center_form, _class_angle, _finite_number, _integer, _require_count, _shown
@@ -82,9 +82,12 @@ def extract_center_scores(left_kps, right_kps, center_map, ratio):
 
     Returns a (len(left), len(right)) matrix; the lookup pixel is the
     nearest heatmap pixel to the pair midpoint, clamped to map bounds.
-    ``ratio`` must be an integer >= 1.
+    ``ratio`` must be an integer >= 1 and ``center_map`` an (H, W) plane,
+    else DimensionError.
     """
     _require_count("ratio", ratio)
+    if np.ndim(center_map) != 2:
+        raise DimensionError(f"center_map: expected an (H, W) plane, got shape {np.shape(center_map)}")
     li, ri = np.arange(len(left_kps))[:, None], np.arange(len(right_kps))[None, :]
     return _center_scores(_kp_arrays(left_kps), _kp_arrays(right_kps), li, ri, center_map, ratio)
 

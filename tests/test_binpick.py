@@ -27,7 +27,7 @@ from graspkit import (
     run_bin_picking,
     score_grasps,
 )
-from graspkit import depth
+from graspkit import binpick, depth
 from graspkit.geometry import grasp_to_record
 from helpers import run_bin_picking_reference
 
@@ -398,3 +398,45 @@ def test_a_25_object_trial_rasterizes_each_grasp_once(monkeypatch, seed):
 def test_a_trial_on_40_px_cells_rasterizes_again_where_a_removal_changed_a_window(monkeypatch):
     calls, log = _rasterizations(monkeypatch, _scene_on_cells(0, 25, 40))
     assert calls > 25
+
+
+@pytest.mark.parametrize("detector", ["oracle", "pipeline"])
+@pytest.mark.parametrize("seed, cell_px", [(0, 120), (3, 64)])
+def test_each_attempt_renders_once_and_scores_at_most_once(monkeypatch, detector, seed, cell_px):
+    # bench/workload.py splits a trial into ops at its renders
+    scene = _scene_on_cells(seed, 25, cell_px)
+    renders, scorings = [], []
+    render = scene.render
+    scene.render = lambda: renders.append(None) or render()
+    score = binpick.score_grasps
+    monkeypatch.setattr(binpick, "score_grasps", lambda *args: scorings.append(None) or score(*args))
+    log = run_bin_picking(scene, _detector(detector, scene, seed), MODEL)
+    assert len(renders) == len(log.attempts) >= 1
+    assert len(scorings) == sum("grasp" in a for a in log.attempts) <= len(log.attempts)
+
+
+def test_a_detector_with_no_grasp_renders_each_attempt_and_scores_none(monkeypatch):
+    scene = make_scene(0, 3)
+    renders = []
+    render = scene.render
+    scene.render = lambda: renders.append(None) or render()
+    monkeypatch.setattr(binpick, "score_grasps", lambda *args: pytest.fail("nothing to score"))
+    log = run_bin_picking(scene, lambda depth_image: [], MODEL)
+    assert len(renders) == len(log.attempts) == 5
+
+
+def test_the_oracle_detector_builds_each_blocks_grasp_once():
+    scene = make_scene(5, 9)
+    detect = oracle_detector(scene)
+    first = detect(None)
+    assert first == [b.oracle_grasp() for b in scene.blocks]
+    assert all(a is b for a, b in zip(first, detect(None)))
+    removed = scene.blocks[4]
+    scene.remove(removed.block_id)
+    later = detect(None)
+    assert len(later) == 8 and all(g is h for g, h in zip(later, first[:4] + first[5:]))
+    # another block object, even one equal to a removed block, gets its own grasp
+    twin = Block(*(getattr(removed, f.name) for f in fields(Block)))
+    scene.blocks.append(twin)
+    (grasp,) = detect(None)[-1:]
+    assert grasp == first[4] and grasp is not first[4]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from graspkit import (
     DegenerateRegionError,
@@ -234,6 +235,72 @@ def test_flat_surface_shares_one_read_only_plane_per_shape_and_level():
     back = read_depth_gktb(buf, surface_mm=1000.0)
     assert back.surface is DepthImage.flat_surface(depth, 1000.0).surface
     assert not back.surface.flags.writeable
+
+
+def test_the_shared_flat_plane_cannot_be_made_writeable():
+    plane = DepthImage.flat_surface(np.full((6, 7), 900.0, np.float32), 1000.0).surface
+    assert plane is depth._flat_plane((6, 7), 1000.0)
+    with pytest.raises(ValueError):
+        plane.flags.writeable = True
+    assert not plane.flags.writeable and np.all(plane == np.float32(1000.0))
+
+
+def test_flat_surface_checks_the_shape_before_the_values_of_a_new_plane():
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^depth image must be 2-D, got ndim=3$"):
+            DepthImage.flat_surface(np.zeros((0, 2, 2)), 1000.0)
+
+
+def test_a_flat_plane_counts_as_checked_only_after_it_passes_inside_an_image():
+    plane = depth._flat_plane((3, 9), 700.0)
+    assert depth._checked_plane is not plane  # building it checks nothing
+    with pytest.raises(ValueError, match="finite, strictly positive"):
+        DepthImage.flat_surface(np.zeros((3, 9)), 700.0)  # the depth fails first
+    assert depth._checked_plane is not plane
+    image = DepthImage.flat_surface(np.full((3, 9), 650.0), 700.0)
+    assert image.surface is plane and depth._checked_plane is plane
+
+
+def _image_or_error(make):
+    """``(error class, message)`` of ``make()``, else the dtypes, shapes and
+    bytes of the image's two planes."""
+    try:
+        image = make()
+    except ValueError as error:
+        return type(error), str(error)
+    return [(a.dtype, a.shape, a.tobytes()) for a in (image.depth, image.surface)]
+
+
+_EDGE_DEPTHS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -5.0, 1e39, 1e-46])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    depth_plane=hnp.arrays(np.float64, st.one_of(hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+                                                 hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)),
+                           elements=st.floats(1.0, 2000.0)),
+    spoil=st.none() | st.tuples(st.integers(0, 63), _EDGE_DEPTHS),
+    as_float32=st.booleans(),
+    level=st.one_of(
+        st.sampled_from([1e39, 1e-46, 5e-324, 3.4028235e38, 1000, 1000.0, np.float32(950.0)]),
+        st.floats(1.0, 1e4),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    ),
+)
+def test_flat_surface_twice_equals_an_image_over_a_full_plane(depth_plane, spoil, as_float32, level):
+    if spoil is not None and depth_plane.size:
+        depth_plane.flat[spoil[0] % depth_plane.size] = spoil[1]
+    with np.errstate(over="ignore"):  # 1e39 overflows float32, as DepthImage's cast allows
+        if as_float32:
+            depth_plane = depth_plane.astype(np.float32)
+        want = _image_or_error(lambda: DepthImage(depth_plane, np.full(np.shape(depth_plane), np.float32(level))))
+    first = _image_or_error(lambda: DepthImage.flat_surface(depth_plane, level))
+    # the plane passed inside the first image, if it was built, so the
+    # second call skips its value check
+    second = _image_or_error(lambda: DepthImage.flat_surface(depth_plane, level))
+    assert first == second == want
+    if isinstance(want, list):
+        assert depth._checked_plane is depth._flat_plane(np.shape(depth_plane), float(level))
 
 
 def test_grasp_score_failed_sentinel():

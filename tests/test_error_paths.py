@@ -117,6 +117,32 @@ def test_validate_reports_a_shape_fault_before_a_value_fault_on_an_earlier_plane
         dataclasses.replace(b, left=left, embedR=b.embedR[:-1]).validate()
 
 
+def _role_planes(**shapes):
+    """A (2, 8, 8) heatmap stack with one peak, an (8, 8) embedding plane and a
+    (2, 8, 8) offset stack, each replaced by zeros of the shape given for it."""
+    planes = {"heatmaps": np.zeros((2, 8, 8)), "embeddings": np.zeros((8, 8)), "offsets": np.zeros((2, 8, 8))}
+    planes["heatmaps"][1, 3, 3] = 0.9
+    planes.update({name: np.zeros(shape) for name, shape in shapes.items()})
+    return planes
+
+
+@pytest.mark.parametrize("shapes, message", [
+    ({"offsets": (1, 8, 8)}, "offsets: shape (1, 8, 8) does not match expected (2, 8, 8)"),  # was IndexError
+    ({"offsets": (2, 2, 2)}, "offsets: shape (2, 2, 2) does not match expected (2, 8, 8)"),  # was IndexError
+    ({"embeddings": (4, 4)}, "embeddings: shape (4, 4) does not match expected (8, 8)"),  # was read on a 4x4 grid
+    ({"heatmaps": (1, 2, 8, 8)}, "heatmaps: expected a (C, H, W) stack or an (H, W) plane, got shape (1, 2, 8, 8)"),
+], ids=["offsets-1-plane", "offsets-other-grid", "embeddings-other-grid", "heatmaps-4-d"])
+def test_select_grasp_keypoints_rejects_planes_off_the_heatmap_grid(shapes, message):
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        select_grasp_keypoints(**_role_planes(**shapes), k=3, ratio=4)
+
+
+def test_extract_center_scores_rejects_a_center_map_that_is_not_2_d():
+    left = select_grasp_keypoints(**_role_planes(), k=3, ratio=4)
+    with pytest.raises(DimensionError, match=f"^{re.escape('center_map: expected an (H, W) plane, got shape (2, 2, 2)')}$"):
+        extract_center_scores(left, left, np.zeros((2, 2, 2)), 4)  # was "too many values to unpack"
+
+
 @pytest.mark.parametrize("tail", [b"", b"\x01", b"\x01\x00\x00\x00"])
 def test_stream_ending_inside_the_fixed_header_is_a_header_error(tail):
     with pytest.raises(HeaderError, match="inside the fixed header"):
