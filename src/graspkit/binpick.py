@@ -18,6 +18,7 @@ across runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,13 +26,22 @@ import numpy as np
 
 from .depth import DepthImage, score_grasps
 from .encoder import EncoderConfig, ideal_bundle
-from .geometry import HALF_PI, Grasp, _require_count, _rng, grasp_to_record
+from .geometry import HALF_PI, Grasp, _integer, _require_count, _rng, _shown, grasp_to_record
 from .grouper import GroupingThresholds, group
 
 # Extra jaw opening beyond the block extent so finger footprints land on
 # clear surface; blocks narrower than the gripper interior would fail the
 # majority-occupancy rule.
 GRASP_CLEARANCE_PX = 12
+
+
+def _require_integers(obj, names):
+    """Raise ValueError naming the first of ``obj``'s attributes ``names``
+    that is not an integer (see :func:`geometry._integer`)."""
+    for name in names:
+        value = getattr(obj, name)
+        if not _integer(value):
+            raise ValueError(f"{name} must be an integer, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +56,9 @@ class Block:
     size_y: int
     height_mm: float
 
+    def __post_init__(self):
+        _require_integers(self, ("x0", "y0", "size_x", "size_y"))
+
     @property
     def center(self):
         return (self.x0 + self.size_x / 2.0, self.y0 + self.size_y / 2.0)
@@ -54,7 +67,13 @@ class Block:
         return self.x0 <= x < self.x0 + self.size_x and self.y0 <= y < self.y0 + self.size_y
 
     def oracle_grasp(self):
-        """Grasp across the shorter extent with clearance for the fingers."""
+        """Grasp across the shorter extent with clearance for the fingers.  A
+        block is frozen, so it builds this grasp once and returns it on every
+        later call."""
+        return self._oracle_grasp
+
+    @functools.cached_property
+    def _oracle_grasp(self):
         cx, cy = self.center
         if self.size_x <= self.size_y:
             return Grasp(cx, cy, 0.0, self.size_x + GRASP_CLEARANCE_PX)
@@ -72,6 +91,7 @@ class SyntheticScene:
     blocks: list
 
     def render(self):
+        _require_integers(self, ("image_height", "image_width"))  # the scene is mutable
         depth = np.full((self.image_height, self.image_width), self.surface_mm, dtype=np.float32)
         for b in self.blocks:
             # clipped at 0: a negative slice bound would count from the far edge
@@ -132,21 +152,8 @@ def make_scene(seed, n_objects):
 
 
 def oracle_detector(scene):
-    """Perfect detector: proposes each remaining block's oracle grasp.  A
-    block is frozen, so its grasp is built once and returned on every later
-    attempt; the detector keeps it with the block, by the block's identity."""
-    kept = {}
-
-    def detect(depth_image):
-        grasps = []
-        for b in scene.blocks:
-            entry = kept.get(id(b))
-            if entry is None:
-                entry = kept[id(b)] = (b, b.oracle_grasp())
-            grasps.append(entry[1])
-        return grasps
-
-    return detect
+    """Perfect detector: proposes each remaining block's oracle grasp."""
+    return lambda depth_image: [b.oracle_grasp() for b in scene.blocks]
 
 
 def pipeline_detector(scene, thresholds, num_classes=18, seed=0):

@@ -185,6 +185,9 @@ def write_gktb(dest, planes, *, num_classes, downsample_ratio):
     for name, arr in named:
         if arr.ndim != 3:
             raise DimensionError(f"plane {name}: expected a 3-D array, got ndim={arr.ndim}")
+    # one contiguous copy, if any, after the ndim check (it would make a 0-d
+    # plane 1-d): a reduction over a plane with strides 0 is slow
+    named = [(name, np.ascontiguousarray(arr, dtype="<f4")) for name, arr in named]
     height, width = named[0][1].shape[1:] if named else (0, 0)
     header = {
         "num_classes": num_classes,
@@ -204,7 +207,7 @@ def write_gktb(dest, planes, *, num_classes, downsample_ratio):
         written = fh.write(MAGIC + struct.pack("<BI", VERSION, len(blob)) + blob)
         for _, arr in named:
             # written straight from the array, without a bytes copy per plane
-            written += fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f4")).cast("B"))
+            written += fh.write(memoryview(arr).cast("B"))
     return written
 
 

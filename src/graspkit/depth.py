@@ -27,17 +27,15 @@ scoring every grasp afresh.  The memo holds window copies of one call, never
 an image; a bin-picking trial, whose attempts change the depth only under
 the removed block, rasterizes each grasp once instead of once per attempt.
 
-``DepthImage`` checks both planes' values on every construction but one:
-``flat_surface``'s shared plane is immutable (its buffer is ``bytes``), so
-once it has passed the check inside an image it is not scanned again.  A
-bin-picking attempt renders onto that plane, and so scans only its fresh
-depth plane; every error, and the order of the checks, are those of a
-full check.
+``DepthImage`` checks both planes' values on every construction.  A plane
+with all strides 0, such as ``flat_surface``'s, holds one value in memory,
+so that one value is checked; a bin-picking attempt thus scans only its
+fresh depth plane.  Every error, and the order of the checks, are those of
+a full check.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -71,10 +69,11 @@ class DepthImage:
             )
         if self.depth.ndim != 2:
             raise ValueError(f"depth image must be 2-D, got ndim={self.depth.ndim}")
-        # min/max also fail on NaN; an empty image fails on its size; the
-        # shared flat plane that already passed is immutable, so it still passes
+        # min/max also fail on NaN; an empty image fails on its size; a plane
+        # with all strides 0 holds one value at every pixel, so that value is checked
         for a in (self.depth, self.surface):
-            if a is not _checked_plane and not (a.size and 0 < a.min() and a.max() < math.inf):
+            if not (a.size and (0 < a[0, 0] < math.inf if not any(a.strides)
+                                else 0 < a.min() and a.max() < math.inf)):
                 raise ValueError("depths must be finite, strictly positive millimeters")
 
     @classmethod
@@ -82,34 +81,17 @@ class DepthImage:
         """A depth image over a constant surface at ``surface_mm``, a finite
         real number > 0 (else ValueError).
 
-        The surface plane is shared and immutable: images of one shape and
-        level hold the same array, so copy it to change it.
+        The surface plane is read-only: all its strides are 0, over one
+        float32 held in ``bytes``, so copy it to change it.
         """
-        global _checked_plane
         if not (_finite_number(surface_mm) and surface_mm > 0):
             raise ValueError(f"surface level must be finite, strictly positive, got {_shown(surface_mm)}")
-        plane = _flat_plane(np.shape(depth), float(surface_mm))
-        image = cls(depth, plane)
-        _checked_plane = plane  # it passed the value check just now
-        return image
+        level = _float32(float(surface_mm)).tobytes()
+        return cls(depth, np.ndarray(np.shape(depth), np.float32, level, strides=(0,) * np.ndim(depth)))
 
     @property
     def shape(self):
         return self.depth.shape
-
-
-@functools.lru_cache(maxsize=1)
-def _flat_plane(shape, surface_mm):
-    """The constant plane of ``flat_surface``, built once per shape and level
-    (a bin-picking trial renders the same one each attempt).  Its buffer is
-    ``bytes``, so no one can make it writeable again."""
-    return np.frombuffer(np.full(shape, _float32(surface_mm)).tobytes(), np.float32).reshape(shape)
-
-
-# The flat_surface plane that last passed DepthImage's value check.  It is
-# immutable and this reference keeps it alive, so an identity match is that
-# same checked plane, never a new array at a recycled address.
-_checked_plane = None
 
 
 @dataclass(frozen=True)

@@ -366,6 +366,14 @@ def coverage_ratio_reference(grasps, mask):
     return float((union & binary).sum()) / int(binary.sum())
 
 
+def assert_flat_plane(plane, shape, level):
+    """``plane`` is a ``flat_surface`` plane: read-only, all strides 0, and
+    the float32 bytes of a full plane at ``level``."""
+    assert plane.shape == shape and not any(plane.strides) and plane.dtype == np.float32
+    assert not plane.flags.writeable
+    assert plane.tobytes() == np.full(shape, np.float32(level)).tobytes()
+
+
 def score_grasps_reference(grasps, depth_image, model):
     """Per-grasp loop over the reference index sets: the mean-over-indices
     scores, failures demoted to total -1, stable re-rank by total."""

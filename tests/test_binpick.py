@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import pickle
 from dataclasses import fields
 
 import numpy as np
@@ -29,7 +30,7 @@ from graspkit import (
 )
 from graspkit import binpick, depth
 from graspkit.geometry import grasp_to_record
-from helpers import run_bin_picking_reference
+from helpers import assert_flat_plane, run_bin_picking_reference
 
 MODEL = GripperModel2D()
 
@@ -254,10 +255,11 @@ def test_render_matches_the_reference_painting_bit_for_bit(scene):
     assert image.surface.tobytes() == np.full(image.shape, np.float32(scene.surface_mm)).tobytes()
 
 
-def test_renders_share_one_read_only_surface_plane_and_paint_a_fresh_depth_plane():
+def test_renders_give_a_read_only_surface_plane_and_paint_a_fresh_depth_plane():
     scene = make_scene(0, 4)
     first, second = scene.render(), scene.render()
-    assert first.surface is second.surface
+    for image in (first, second):
+        assert_flat_plane(image.surface, image.shape, scene.surface_mm)
     with pytest.raises(ValueError, match="read-only"):
         first.surface[0, 0] = 1.0
     assert first.depth is not second.depth
@@ -287,6 +289,41 @@ def test_a_bad_surface_or_block_raises_on_every_render(surface, height):
     for _ in range(3):
         with pytest.raises(ValueError, match="finite, strictly positive"):
             scene.render()
+
+
+@pytest.mark.parametrize("height", [2.5, True])
+def test_a_non_integer_image_height_raises_value_error_on_render(height):
+    with pytest.raises(ValueError, match=rf"^image_height must be an integer, got {height}$"):
+        SyntheticScene(0, height, 100, 1000.0, []).render()
+
+
+def test_a_non_integer_image_width_set_after_construction_raises_value_error_on_render():
+    scene = _scene(Block(0, 10, 10, 20, 20, 30.0))
+    scene.image_width = 60.0
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^image_width must be an integer, got 60\.0$"):
+            scene.render()
+
+
+@pytest.mark.parametrize("name", ["x0", "y0", "size_x", "size_y"])
+def test_a_block_with_a_non_integer_corner_or_extent_raises_value_error(name):
+    values = {"block_id": 0, "x0": 10, "y0": 10, "size_x": 20, "size_y": 20, "height_mm": 30.0, name: 10.5}
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got 10\.5$"):
+        Block(**values)
+    assert Block(**{**values, name: np.int64(10)}).contains(15, 15)
+
+
+def test_a_block_builds_its_oracle_grasp_once_and_keeps_its_value_semantics():
+    block, twin = Block(3, 10, 20, 30, 40, 25.0), Block(3, 10, 20, 30, 40, 25.0)
+    values, digest, shown = [getattr(block, f.name) for f in fields(Block)], hash(block), repr(block)
+    grasp = block.oracle_grasp()
+    assert grasp is block.oracle_grasp() and grasp == twin.oracle_grasp()
+    assert [f.name for f in fields(block)] == ["block_id", "x0", "y0", "size_x", "size_y", "height_mm"]
+    assert [getattr(block, f.name) for f in fields(Block)] == values
+    assert block == twin and hash(block) == hash(twin) == digest and repr(block) == repr(twin) == shown
+    back = pickle.loads(pickle.dumps(block))
+    assert back == block and hash(back) == digest and repr(back) == shown
+    assert back.oracle_grasp() == grasp and back.oracle_grasp() is back.oracle_grasp()
 
 
 def _scene_on_cells(seed, n_objects, cell_px):

@@ -31,7 +31,7 @@ from graspkit import (
 )
 from graspkit import depth
 from graspkit.binpick import make_scene
-from helpers import gripper_regions_reference, score_grasps_reference
+from helpers import assert_flat_plane, gripper_regions_reference, score_grasps_reference
 
 MODEL = GripperModel2D()  # 17 mm fingers, 200 mm max open, 40 mm length, 1 px/mm
 
@@ -215,10 +215,11 @@ def test_depth_gktb_roundtrip():
     assert float(back2.surface.max()) == float(scene.depth.max())
 
 
-def test_flat_surface_shares_one_read_only_plane_per_shape_and_level():
+def test_flat_surface_gives_a_read_only_plane_of_strides_0_per_shape_and_level():
     depth = np.full((6, 7), 900.0, np.float32)
     a, b = DepthImage.flat_surface(depth, 1000.0), DepthImage.flat_surface(depth.copy(), 1000)
-    assert a.surface is b.surface
+    assert_flat_plane(a.surface, (6, 7), 1000.0)
+    assert_flat_plane(b.surface, (6, 7), 1000.0)
     assert a.surface.dtype == np.float32 and a.surface.tobytes() == np.full((6, 7), np.float32(1000.0)).tobytes()
     with pytest.raises(ValueError, match="read-only"):
         a.surface[0, 0] = 1.0
@@ -228,18 +229,18 @@ def test_flat_surface_shares_one_read_only_plane_per_shape_and_level():
     for shape, level in (((6, 7), 1200.0), ((7, 6), 1200.0)):
         image = DepthImage.flat_surface(np.full(shape, 900.0, np.float32), level)
         assert image.surface.shape == shape and np.all(image.surface == np.float32(level))
-    # a file without a surface plane falls back to the shared plane
+    # a file without a surface plane falls back to a flat plane
     buf = io.BytesIO()
     write_depth_gktb(DepthImage(depth, np.full((6, 7), 1000.0)), buf, include_surface=False)
     buf.seek(0)
     back = read_depth_gktb(buf, surface_mm=1000.0)
-    assert back.surface is DepthImage.flat_surface(depth, 1000.0).surface
+    assert_flat_plane(back.surface, (6, 7), 1000.0)
     assert not back.surface.flags.writeable
 
 
-def test_the_shared_flat_plane_cannot_be_made_writeable():
+def test_the_flat_plane_cannot_be_made_writeable():
     plane = DepthImage.flat_surface(np.full((6, 7), 900.0, np.float32), 1000.0).surface
-    assert plane is depth._flat_plane((6, 7), 1000.0)
+    assert_flat_plane(plane, (6, 7), 1000.0)
     with pytest.raises(ValueError):
         plane.flags.writeable = True
     assert not plane.flags.writeable and np.all(plane == np.float32(1000.0))
@@ -251,14 +252,14 @@ def test_flat_surface_checks_the_shape_before_the_values_of_a_new_plane():
             DepthImage.flat_surface(np.zeros((0, 2, 2)), 1000.0)
 
 
-def test_a_flat_plane_counts_as_checked_only_after_it_passes_inside_an_image():
-    plane = depth._flat_plane((3, 9), 700.0)
-    assert depth._checked_plane is not plane  # building it checks nothing
+def test_a_flat_plane_is_checked_in_every_image_after_the_depth_plane():
     with pytest.raises(ValueError, match="finite, strictly positive"):
         DepthImage.flat_surface(np.zeros((3, 9)), 700.0)  # the depth fails first
-    assert depth._checked_plane is not plane
     image = DepthImage.flat_surface(np.full((3, 9), 650.0), 700.0)
-    assert image.surface is plane and depth._checked_plane is plane
+    assert_flat_plane(image.surface, (3, 9), 700.0)
+    for _ in range(2):  # a plane that passed once is checked again
+        with pytest.raises(ValueError, match="^depths must be finite, strictly positive millimeters$"):
+            DepthImage.flat_surface(np.full((3, 9), 650.0), 1e39)  # inf as float32
 
 
 def _image_or_error(make):
@@ -295,12 +296,53 @@ def test_flat_surface_twice_equals_an_image_over_a_full_plane(depth_plane, spoil
             depth_plane = depth_plane.astype(np.float32)
         want = _image_or_error(lambda: DepthImage(depth_plane, np.full(np.shape(depth_plane), np.float32(level))))
     first = _image_or_error(lambda: DepthImage.flat_surface(depth_plane, level))
-    # the plane passed inside the first image, if it was built, so the
-    # second call skips its value check
     second = _image_or_error(lambda: DepthImage.flat_surface(depth_plane, level))
     assert first == second == want
     if isinstance(want, list):
-        assert depth._checked_plane is depth._flat_plane(np.shape(depth_plane), float(level))
+        assert_flat_plane(DepthImage.flat_surface(depth_plane, level).surface, np.shape(depth_plane), level)
+
+
+_PLANE_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -5.0, 1e-45, 3.4028235e38, 1000.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    value=_PLANE_VALUES,
+    shape=st.sampled_from([(0, 3), (3, 0), (1, 1)]) | hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5),
+    other=st.floats(1.0, 2000.0),
+    as_surface=st.booleans(),
+    over_bytes=st.booleans(),
+)
+def test_a_plane_of_strides_0_is_checked_like_a_full_plane(value, shape, other, as_surface, over_bytes):
+    one = np.float32(value)
+    if over_bytes:
+        plane = np.ndarray(shape, np.float32, one.tobytes(), strides=(0, 0))
+    else:
+        plane = np.broadcast_to(one, shape)
+    assert not any(plane.strides)
+    rest = np.full(shape, np.float32(other))
+
+    def image(p):
+        return _image_or_error(lambda: DepthImage(rest, p) if as_surface else DepthImage(p, rest))
+
+    assert image(plane) == image(np.full(shape, one))
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_PLANE_VALUES, rows=st.integers(1, 4), cols=st.integers(2, 4), transpose=st.booleans(),
+       as_surface=st.booleans())
+def test_a_plane_with_one_stride_0_is_checked_in_full(value, rows, cols, transpose, as_surface):
+    line = np.full(cols, np.float32(1000.0))
+    line[-1] = value  # not at [0, 0]
+    plane = np.broadcast_to(line, (rows, cols))
+    if transpose:
+        plane = plane.T
+    rest = np.full(plane.shape, np.float32(900.0))
+
+    def image(p):
+        return _image_or_error(lambda: DepthImage(rest, p) if as_surface else DepthImage(p, rest))
+
+    assert image(plane) == image(np.ascontiguousarray(plane))
 
 
 def test_grasp_score_failed_sentinel():
@@ -553,6 +595,11 @@ def test_depth_file_without_a_depth_plane_raises_header_error():
     buf.seek(0)
     with pytest.raises(HeaderError, match=r"no 'depth' plane in file \(found \['surface'\]\)"):
         read_depth_gktb(buf)
+
+
+def test_write_gktb_names_the_ndim_of_a_0_d_plane():
+    with pytest.raises(DimensionError, match=r"^plane depth: expected a 3-D array, got ndim=0$"):
+        write_gktb(io.BytesIO(), [("depth", np.float32(1000.0))], num_classes=0, downsample_ratio=1)
 
 
 def test_height_score_rejects_a_surface_set_to_zero_after_the_image_is_built():
