@@ -24,24 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .depth import DepthImage, score_grasps
+from .depth import DepthImage, _require_surface_level, score_grasps
 from .encoder import EncoderConfig, ideal_bundle
-from .geometry import HALF_PI, Grasp, _integer, _require_count, _rng, _shown, grasp_to_record
+from .geometry import HALF_PI, Grasp, _finite_number, _require_count, _require_integer, _rng, _shown
+from .geometry import grasp_to_record
 from .grouper import GroupingThresholds, group
 
 # Extra jaw opening beyond the block extent so finger footprints land on
 # clear surface; blocks narrower than the gripper interior would fail the
 # majority-occupancy rule.
 GRASP_CLEARANCE_PX = 12
-
-
-def _require_integers(obj, names):
-    """Raise ValueError naming the first of ``obj``'s attributes ``names``
-    that is not an integer (see :func:`geometry._integer`)."""
-    for name in names:
-        value = getattr(obj, name)
-        if not _integer(value):
-            raise ValueError(f"{name} must be an integer, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +49,10 @@ class Block:
     height_mm: float
 
     def __post_init__(self):
-        _require_integers(self, ("x0", "y0", "size_x", "size_y"))
+        for name in ("x0", "y0", "size_x", "size_y"):
+            _require_integer(name, getattr(self, name))
+        if not _finite_number(self.height_mm):  # checked once here, not on every render
+            raise ValueError(f"height_mm must be a finite number, got {_shown(self.height_mm)}")
 
     @property
     def center(self):
@@ -91,8 +86,10 @@ class SyntheticScene:
     blocks: list
 
     def render(self):
-        _require_integers(self, ("image_height", "image_width"))  # the scene is mutable
-        depth = np.full((self.image_height, self.image_width), self.surface_mm, dtype=np.float32)
+        # the scene is mutable, so its size and level are checked on every render
+        shape = tuple(_require_integer(name, getattr(self, name)) for name in ("image_height", "image_width"))
+        _require_surface_level(self.surface_mm)
+        depth = np.full(shape, self.surface_mm, dtype=np.float32)
         for b in self.blocks:
             # clipped at 0: a negative slice bound would count from the far edge
             rows = slice(max(b.y0, 0), max(b.y0 + b.size_y, 0))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _integer, _shown
+from .geometry import _require_integer
 
 MAGIC = b"GKTB"
 VERSION = 1
@@ -109,10 +109,7 @@ class HeatmapBundle:
                 raise DimensionError(f"plane {name}: expected 2-D or 3-D array, got ndim={arr.ndim}")
             setattr(self, name, arr)
         for field in ("num_classes", "downsample_ratio"):
-            value = getattr(self, field)
-            if not _integer(value):
-                raise DimensionError(f"{field} must be an integer, got {_shown(value)}")
-            setattr(self, field, int(value))
+            setattr(self, field, int(_require_integer(field, getattr(self, field), DimensionError)))
 
     @property
     def height(self):
@@ -211,13 +208,6 @@ def write_gktb(dest, planes, *, num_classes, downsample_ratio):
     return written
 
 
-def _require_int(value, field):
-    """A header number must be a JSON integer in int64's range (booleans and floats are not)."""
-    if not _integer(value):
-        raise HeaderError(f"header field {field!r} must be an integer, got {_shown(value)}")
-    return value
-
-
 def _bounds(name, arr):
     """(min, max) of a plane, taking 0.0 into both; raises PayloadError
     unless both are finite, which NaN and infinities carry through."""
@@ -236,7 +226,7 @@ def _layout(header):
         if key not in header:
             raise HeaderError(f"header missing field {key!r}")
     for key in ("num_classes", "height", "width", "downsample_ratio"):
-        _require_int(header[key], key)
+        _require_integer(f"header field {key!r}", header[key], HeaderError)
     if not isinstance(header["planes"], list):
         raise HeaderError(f"header field 'planes' must be a list, got {header['planes']!r}")
     if not header["planes"]:
@@ -248,7 +238,7 @@ def _layout(header):
     for entry in header["planes"]:
         if not isinstance(entry, dict) or "name" not in entry or "count" not in entry:
             raise HeaderError(f"malformed plane entry {entry!r}")
-        name, count = str(entry["name"]), _require_int(entry["count"], "count")
+        name, count = str(entry["name"]), _require_integer("header field 'count'", entry["count"], HeaderError)
         if name in counts:
             raise HeaderError(f"duplicate plane {name!r}")
         if count < 1:

@@ -15,17 +15,19 @@ strict Heaviside step (H(0) = 0).  The total is the plain sum s_c+s_o+s_h.
 Each comparison is written once (``_collision``, ``_occupancy``); the scorers read
 region depths at given ``regions`` index sets, else by mask from one rasterization.
 
+The gripper arithmetic runs on Python floats, so a score depends only on
+values, never on the numeric types of the grasp's and the model's fields.
 ``score_grasps`` scores each grasp once per change of its window.  It keeps
-one memo, of its last call: for each grasp scored there, the x, y, theta and
-w it was scored at (with their types), its rasterization window, a byte copy
-of the depth and surface values in that window and the score.  A grasp
-reuses that score only when the gripper model's four sizes, the image shape,
-its own four values and both windows' dtypes and bytes are all unchanged;
-anything else, and every failed score, is scored afresh.  A score reads
-nothing else (the window holds the center pixel), so the result equals
-scoring every grasp afresh.  The memo holds window copies of one call, never
-an image; a bin-picking trial, whose attempts change the depth only under
-the removed block, rasterizes each grasp once instead of once per attempt.
+one memo, of its last call: for each grasp scored there, the model's four
+sizes, the image shape and the x, y, theta and w it was scored at, its
+rasterization window, a byte copy of the depth and surface values in that
+window and the score.  A grasp reuses that score only when all of these
+values and both windows' dtypes and bytes are unchanged; anything else, and
+every failed score, is scored afresh.  A score reads nothing else (the
+window holds the center pixel), so the result equals scoring every grasp
+afresh.  The memo holds window copies of one call, never an image; a
+bin-picking trial, whose attempts change the depth only under the removed
+block, rasterizes each grasp once instead of once per attempt.
 
 ``DepthImage`` checks both planes' values on every construction.  A plane
 with all strides 0, such as ``flat_surface``'s, holds one value in memory,
@@ -51,6 +53,12 @@ class GripperCapacityError(ValueError):
 
 class DegenerateRegionError(ValueError):
     """A gripper region rasterized to zero pixels after clipping."""
+
+
+def _require_surface_level(surface_mm):
+    """Raise ValueError unless ``surface_mm`` is a finite real number > 0."""
+    if not (_finite_number(surface_mm) and surface_mm > 0):
+        raise ValueError(f"surface level must be finite, strictly positive, got {_shown(surface_mm)}")
 
 
 @dataclass
@@ -84,8 +92,7 @@ class DepthImage:
         The surface plane is read-only: all its strides are 0, over one
         float32 held in ``bytes``, so copy it to change it.
         """
-        if not (_finite_number(surface_mm) and surface_mm > 0):
-            raise ValueError(f"surface level must be finite, strictly positive, got {_shown(surface_mm)}")
+        _require_surface_level(surface_mm)
         level = _float32(float(surface_mm)).tobytes()
         return cls(depth, np.ndarray(np.shape(depth), np.float32, level, strides=(0,) * np.ndim(depth)))
 
@@ -159,15 +166,16 @@ def _gripper_masks(g, model, shape):
     h, w = shape
     if not (0 <= g.x < w and 0 <= g.y < h):
         raise ValueError(f"grasp center ({g.x:.1f}, {g.y:.1f}) outside {w}x{h} image")
-    ppmm = model.pixels_per_mm
-    if g.w / ppmm > model.max_open_mm:
+    # Python floats from here on: float32 fields would round the arithmetic apart
+    x, y, theta, gw, ppmm = float(g.x), float(g.y), float(g.theta), float(g.w), float(model.pixels_per_mm)
+    if gw / ppmm > float(model.max_open_mm):
         raise GripperCapacityError(
-            f"grasp opening {g.w / ppmm:.1f} mm exceeds max open {model.max_open_mm} mm"
+            f"grasp opening {gw / ppmm:.1f} mm exceeds max open {model.max_open_mm} mm"
         )
-    half_w = g.w / 2.0
-    reach = half_w + model.finger_length_mm * ppmm
-    half_t = model.finger_thickness_mm * ppmm / 2.0
-    window, u, v = _rect_frame((g.x, g.y), g.theta, reach, half_t, shape)
+    half_w = gw / 2.0
+    reach = half_w + float(model.finger_length_mm) * ppmm
+    half_t = float(model.finger_thickness_mm) * ppmm / 2.0
+    window, u, v = _rect_frame((x, y), theta, reach, half_t, shape)
     across = v <= half_t
     # |u| folds the two finger bands into one test; IEEE negation is exact
     finger = across & (u >= half_w) & (u <= reach)
@@ -252,12 +260,6 @@ def score_grasp(g, depth_image, model):
     return _windowed_score(g, depth_image, model)[1]
 
 
-def _typed(*values):
-    """``values`` with their types: 2 == 2.0 == np.float32(2), but a float32
-    field rounds the gripper arithmetic differently."""
-    return tuple(zip(map(type, values), values))
-
-
 def _window_values(depth_image, window):
     """The depth and surface values a score reads, as the dtypes and bytes
     of the two windows: equal bytes of equal dtypes are equal values."""
@@ -265,11 +267,11 @@ def _window_values(depth_image, window):
     return depth.dtype, surface.dtype, depth.tobytes(), surface.tobytes()
 
 
-# The memo of the last score_grasps call: (typed model sizes, image shape,
-# {typed x, y, theta, w: (window, _window_values, score)}).  Each call
-# replaces it whole and never changes it in place, so calls from several
-# threads stay exact.
-_last_call = (None, None, {})
+# The memo of the last score_grasps call, {((model sizes, image shape), x,
+# y, theta, w): (window, _window_values, score)}.  Each call replaces it
+# whole and never changes it in place, so calls from several threads stay
+# exact.
+_last_call = {}
 
 
 def score_grasps(grasps, depth_image, model):
@@ -284,15 +286,13 @@ def score_grasps(grasps, depth_image, model):
     grasps = list(grasps)
     if not grasps:
         raise ValueError("empty grasp list")
-    model_key = _typed(model.finger_thickness_mm, model.max_open_mm, model.finger_length_mm, model.pixels_per_mm)
-    shape = depth_image.shape
-    last_model, last_shape, last = _last_call
-    if (last_model, last_shape) != (model_key, shape):
-        last = {}
+    call = (model.finger_thickness_mm, model.max_open_mm, model.finger_length_mm, model.pixels_per_mm,
+            depth_image.shape)
+    last = _last_call
     kept = {}
     scored = []
     for g in grasps:
-        key = _typed(g.x, g.y, g.theta, g.w)
+        key = (call, g.x, g.y, g.theta, g.w)
         entry = kept.get(key) or last.get(key)
         if entry is None or _window_values(depth_image, entry[0]) != entry[1]:
             try:
@@ -303,7 +303,7 @@ def score_grasps(grasps, depth_image, model):
             entry = (window, _window_values(depth_image, window), score)
         kept[key] = entry
         scored.append((g, entry[2]))
-    _last_call = (model_key, shape, kept)
+    _last_call = kept
     scored.sort(key=lambda pair: -pair[1].total)
     return scored
 

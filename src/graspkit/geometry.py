@@ -383,6 +383,13 @@ def _integer(value):
     return -(2**63) <= value < 2**63
 
 
+def _require_integer(name, value, error=ValueError):
+    """``value`` if it is an integer (see :func:`_integer`), else raise ``error`` naming ``name``."""
+    if not _integer(value):
+        raise error(f"{name} must be an integer, got {_shown(value)}")
+    return value
+
+
 def _rng(seed):
     """numpy's default random generator, seeded by an integer from 0 to 2**63 - 1."""
     if not _integer(seed) or seed < 0:

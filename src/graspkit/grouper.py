@@ -20,7 +20,7 @@ import numpy as np
 from .bundle import DimensionError, _float32
 from .decoder import TOP_K, DetectedKeypoint, _decode, _detected
 from .decoder import decode_bundle  # noqa: F401  (bench/spans.py traces it under this module)
-from .geometry import _center_form, _class_angle, _finite_number, _integer, _require_count, _shown
+from .geometry import _center_form, _class_angle, _finite_number, _require_count, _require_integer, _shown
 from .geometry import angle_diff, wrap_angle
 
 
@@ -54,8 +54,7 @@ class GraspCandidate:
 def _kp_arrays(kps):
     """Keypoint arrays ``(x, y, class, score, embedding)`` of DetectedKeypoints."""
     for p in kps:
-        if not _integer(p.class_index):
-            raise ValueError(f"keypoint class index must be an integer, got {_shown(p.class_index)}")
+        _require_integer("keypoint class index", p.class_index)
     return (
         np.array([p.x for p in kps], dtype=float),
         np.array([p.y for p in kps], dtype=float),

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import pickle
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -288,6 +289,20 @@ def test_a_bad_surface_or_block_raises_on_every_render(surface, height):
     scene.surface_mm = surface
     for _ in range(3):
         with pytest.raises(ValueError, match="finite, strictly positive"):
+            scene.render()
+
+
+@pytest.mark.parametrize("height", ["30", None, True, math.nan])
+def test_a_block_whose_height_is_not_a_finite_number_raises_value_error_when_built(height):
+    with pytest.raises(ValueError, match=rf"^height_mm must be a finite number, got {re.escape(repr(height))}$"):
+        Block(0, 10, 10, 20, 20, height)
+
+
+@pytest.mark.parametrize("surface", [None, "1000"])
+def test_a_surface_level_that_is_not_a_number_raises_value_error_on_every_render(surface):
+    scene = SyntheticScene(0, 100, 100, surface, [Block(0, 10, 10, 20, 20, 30.0)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match=rf"^surface level must be finite, strictly positive, got {surface!r}$"):
             scene.render()
 
 

@@ -2,6 +2,9 @@
 
 import io
 import math
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -698,29 +701,147 @@ def test_score_grasps_equals_the_reference_after_every_call_of_a_sequence(case):
             assert repr([s for _, s in got]) == repr([s for _, s in want])
 
 
-def test_a_model_equal_in_value_but_of_float32_sizes_is_scored_afresh():
-    # the two models compare equal, but a float32 finger length rounds
-    # reach = w / 2 + 40 to float32, which moves the fingers' far edge
+def _count_rasterizations(monkeypatch):
+    calls = []
+    masks = depth._gripper_masks
+    monkeypatch.setattr(depth, "_gripper_masks", lambda *args: calls.append(None) or masks(*args))
+    return calls
+
+
+def test_a_model_equal_in_value_but_of_float32_sizes_scores_as_its_values(monkeypatch):
+    # in float32 arithmetic this finger length would round reach = w / 2 + 40
+    # and move the fingers' far edge; the gripper arithmetic runs on Python floats
     model32 = GripperModel2D(finger_length_mm=np.float32(40.0))
     assert model32 == MODEL
     rng = np.random.default_rng(0)
     image = DepthImage(rng.integers(995, 1005, (80, 80)).astype(np.float32),
                        rng.integers(998, 1002, (80, 80)).astype(np.float32))
     g = Grasp(58.0, 44.0, 0.0, 11.999999989592574)
+    calls = _count_rasterizations(monkeypatch)
     first = score_grasps([g], image, MODEL)[0][1]
     second = score_grasps([g], image, model32)[0][1]
+    assert len(calls) == 1
     assert first == score_grasp(g, image, MODEL)
-    assert second == score_grasp(g, image, model32) != first
+    assert second == score_grasp(g, image, model32) == first
 
 
-def test_a_grasp_value_of_another_type_is_rasterized_again(monkeypatch):
+def test_a_grasp_value_of_another_type_reuses_the_memo_entry(monkeypatch):
     image = flat_scene(side=60)
-    calls = []
-    masks = depth._gripper_masks
-    monkeypatch.setattr(depth, "_gripper_masks", lambda *args: calls.append(None) or masks(*args))
+    calls = _count_rasterizations(monkeypatch)
     g = Grasp(30.0, 30.0, 0.3, 12.5)
-    score_grasps([g, g], image, MODEL)
+    score = score_grasps([g, g], image, MODEL)[0][1]
     score_grasps([g], image, MODEL)
     assert len(calls) == 1
-    score_grasps([Grasp(np.float32(30.0), 30.0, 0.3, 12.5)], image, MODEL)  # 30.0 == np.float32(30.0)
-    assert len(calls) == 2
+    assert score_grasps([Grasp(np.float32(30.0), 30.0, 0.3, 12.5)], image, MODEL)[0][1] == score
+    assert len(calls) == 1
+
+
+_F32 = {"allow_nan": False, "allow_infinity": False, "width": 32}
+
+
+def _f32_values(lo, hi):
+    """float32-exact Python floats in [lo, hi]: whole numbers, whole numbers
+    moved by a few float32 steps (where float32 sums round across a pixel
+    edge) and any others."""
+    whole = st.integers(math.ceil(lo), math.floor(hi))
+    near = st.tuples(whole, st.integers(-4, 4)).map(
+        lambda t: float(np.float32(t[0]) + t[1] * np.spacing(np.float32(t[0]))))
+    return st.one_of(whole.map(float), near.filter(lambda v: lo <= v <= hi), st.floats(lo, hi, **_F32))
+
+
+@st.composite
+def _typed(draw, value):
+    """``value`` as a Python float, an np.float64, an np.float32 or, when it
+    is a whole number, an int: every one of them holds the same value."""
+    kinds = [float, np.float64, np.float32] + ([int] if value.is_integer() else [])
+    return draw(st.sampled_from(kinds))(value)
+
+
+@st.composite
+def _typed_cases(draw, shape):
+    """A grasp and a gripper model of float32-exact values on an image of
+    ``shape``, as ``((grasp, model), (typed grasp, typed model))``.  Half
+    the time the max open is the opening in mm rounded to float32, which a
+    float32 comparison would take as equal."""
+    h, w = shape
+    x, y = draw(_f32_values(-2.0, w + 2.0)), draw(_f32_values(-2.0, h + 2.0))
+    theta = draw(st.one_of(st.just(0.0), _f32_values(-1.5, 1.5)))
+    gw = draw(_f32_values(0.0625, 60.0))
+    ppmm = draw(st.sampled_from([0.5, 1.0, 1.5, 3.0]))
+    max_open = float(np.float32(gw / ppmm)) if draw(st.booleans()) else draw(_f32_values(1.0, 60.0))
+    sizes = [draw(_f32_values(0.5, 12.0)), max_open, draw(_f32_values(0.5, 12.0)), ppmm]
+    plain = (Grasp(x, y, theta, gw), GripperModel2D(*sizes))
+    typed = (Grasp(*[draw(_typed(v)) for v in (x, y, theta, gw)]),
+             GripperModel2D(*[draw(_typed(v)) for v in sizes]))
+    return plain, typed
+
+
+def _outcome(score, *args):
+    try:
+        return score(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_score_depends_on_the_values_of_the_grasp_and_model_fields_not_their_types(data):
+    shape = (data.draw(st.integers(1, 30)), data.draw(st.integers(1, 30)))
+    image = _memo_images(data.draw, shape, shape)[0]
+    (g, model), (typed_g, typed_model) = data.draw(_typed_cases(shape))
+    assert _outcome(score_grasp, typed_g, image, typed_model) == _outcome(score_grasp, g, image, model)
+
+
+def _positions(grasps, ranked):
+    """Where each ranked grasp object stands in ``grasps``."""
+    ids = [id(g) for g in grasps]
+    return [ids.index(id(g)) for g, _ in ranked]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_score_grasps_over_calls_of_mixed_types_equals_the_reference_of_the_values(data):
+    shape = (data.draw(st.integers(1, 30)), data.draw(st.integers(1, 30)))
+    images = _memo_images(data.draw, shape, shape)[:2]
+    pool = data.draw(st.lists(_typed_cases(shape), min_size=1, max_size=4))
+    for _ in range(data.draw(st.integers(1, 6))):
+        image = images[data.draw(st.integers(0, 1))]
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+        model = data.draw(st.sampled_from(picks))  # the model of one picked case
+        # fresh objects for each pick, of the drawn types or of plain floats
+        plain = [replace(pool[p][0][0]) for p in picks]
+        typed = [replace(pool[p][1][0]) for p in picks]
+        got = score_grasps(typed, image, pool[model][1][1])
+        want = score_grasps_reference(plain, image, pool[model][0][1])
+        assert _positions(typed, got) == _positions(plain, want)
+        assert repr([s for _, s in got]) == repr([s for _, s in want])
+
+
+def test_score_grasps_from_four_threads_equals_the_reference_on_every_call():
+    rng = np.random.default_rng(1)
+    images = [DepthImage(rng.integers(995, 1005, (40, 40)).astype(np.float32),
+                         rng.integers(998, 1002, (40, 40)).astype(np.float32)) for _ in range(2)]
+    pool = [Grasp(float(x), float(y), float(t), float(w))
+            for x, y, t, w in zip(rng.uniform(0, 40, 12), rng.uniform(0, 40, 12),
+                                  rng.uniform(-1.5, 1.5, 12), rng.uniform(1, 50, 12))]
+    wrong = []
+
+    def run(t):
+        for i in range(30):
+            grasps = pool[(i + t) % len(pool):] + pool[:(i * t) % len(pool)]
+            args = (grasps, images[(i // 2 + t) % 2], _MEMO_MODELS[i % 2])
+            got, want = score_grasps(*args), score_grasps_reference(*args)
+            if [id(g) for g, _ in got] != [id(g) for g, _ in want] or repr(got) != repr(want):
+                wrong.append((t, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside score_grasps too
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
